@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint -> configure -> build -> ctest -> sanitizer matrix ->
-# bench smoke. Keep the configure/build/ctest sequence byte-for-byte in
-# sync with the one-liner in README.md; .github/workflows/ci.yml just
-# calls this script.
+# bench smoke (model benches, then the wall-clock benchmark's --smoke).
+# Keep the configure/build/ctest sequence byte-for-byte in sync with the
+# one-liner in README.md; .github/workflows/ci.yml just calls this script.
 #
 # CI turns -Werror ON (src/ and tests/ are warning-clean and stay that
 # way); local builds default it OFF so an unusual toolchain can't brick
@@ -13,7 +13,8 @@
 #   scripts/ci.sh --system-gtest      # suite against installed GoogleTest
 #   scripts/ci.sh --system-benchmark  # micro bench against installed
 #                                     # google-benchmark
-#   scripts/ci.sh --no-bench          # skip the bench smoke stage
+#   scripts/ci.sh --no-bench          # skip the bench smoke stage (model
+#                                     # benches + wall-clock smoke)
 #   scripts/ci.sh --no-tsan           # skip the ThreadSanitizer stage
 #   scripts/ci.sh --tsan-only         # ONLY the ThreadSanitizer stage
 #   scripts/ci.sh --no-asan           # skip the ASan/UBSan stage
@@ -158,4 +159,9 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # local act (scripts/bench.sh) whose diff rides the PR that changed perf.
   BUILD_DIR="$BUILD_DIR" scripts/bench.sh --quick --no-experiments-md \
       --diff bench/BENCH_baseline.json "${BENCH_ARGS[@]}"
+  # Wall-clock benchmark smoke: every workload at 1/50 scale, traced and
+  # untraced, read back through Ros2Client and checked byte for byte
+  # (exit 3 on a mismatch). It builds its own Release tree under
+  # .bench_build/.
+  bash benchmark/run.sh --smoke
 fi

@@ -1,5 +1,6 @@
 #include "daos/client.h"
 
+#include <array>
 #include <set>
 
 #include "daos/placement.h"
@@ -8,9 +9,26 @@
 namespace ros2::daos {
 namespace {
 
-void EncodeObjAddr(rpc::Encoder& enc, ContainerId cont, const ObjectId& oid,
-                   const std::string& dkey, const std::string& akey) {
-  enc.U64(cont).U64(oid.hi).U64(oid.lo).Str(dkey).Str(akey);
+// ObjCall::write: fan out to every replica, or read one engine.
+constexpr bool kWrite = true;
+constexpr bool kRead = false;
+
+Result<std::uint64_t> DecodeU64(const Result<rpc::RpcReply>& reply) {
+  if (!reply.ok()) return reply.status();
+  rpc::Decoder dec(reply->header);
+  return dec.U64();
+}
+
+Result<Buffer> DecodeBytes(const Result<rpc::RpcReply>& reply) {
+  if (!reply.ok()) return reply.status();
+  rpc::Decoder dec(reply->header);
+  return dec.Bytes();
+}
+
+Status CheckFetched(const Result<rpc::RpcReply>& reply, std::size_t want) {
+  if (!reply.ok()) return reply.status();
+  if (reply->bulk_received != want) return DataLoss("short DAOS fetch");
+  return Status::Ok();
 }
 
 Result<std::vector<std::string>> DecodeStringList(const Buffer& raw) {
@@ -119,45 +137,57 @@ Status DaosClient::SetEngineDown(std::uint32_t engine_index, bool down) {
 // -------------------------------------------------------------- routing
 
 std::uint32_t DaosClient::PrimaryEngine(const ObjectId& oid,
-                                        const std::string& dkey) const {
+                                        std::string_view dkey) const {
   // Level 1 of placement: dkeys spread over engines (level 2, inside the
   // engine, spreads over its targets).
   return PlaceEngine(oid, dkey, std::uint32_t(engines_.size()));
 }
 
-Result<std::uint32_t> DaosClient::ReadableEngine(
-    const ObjectId& oid, const std::string& dkey) const {
-  const std::uint32_t primary = PrimaryEngine(oid, dkey);
-  for (std::uint32_t r = 0; r < replicas_; ++r) {
+Result<std::uint32_t> DaosClient::ReadEngine(std::uint32_t primary,
+                                             Epoch epoch) const {
+  // Snapshot reads pin to the primary (epochs are per-engine, so another
+  // replica's stamp means something else); HEAD reads fail over along the
+  // replica ring.
+  const std::uint32_t candidates = epoch == kEpochHead ? replicas_ : 1;
+  for (std::uint32_t r = 0; r < candidates; ++r) {
     const std::uint32_t e = ReplicaEngine(primary, r);
     if (map_->readable(e)) return e;
   }
-  return Status(
-      Unavailable("no UP replica of this dkey (pool map v" +
-                  std::to_string(map_->version()) + ")"));
+  return Status(Unavailable(
+      "no UP engine among " + std::to_string(candidates) +
+      " read candidate(s) from engine " + std::to_string(primary) +
+      " (it is " + EngineStateName(map_->state(primary)) + ", pool map v" +
+      std::to_string(map_->version()) + ")"));
 }
 
-Status DaosClient::RequireUp(std::uint32_t engine) const {
-  if (map_->readable(engine)) return Status::Ok();
-  return Unavailable("engine " + std::to_string(engine) + " is " +
-                     EngineStateName(map_->state(engine)) +
-                     " (pool map v" + std::to_string(map_->version()) + ")");
-}
-
-void DaosClient::JournalMiss(std::uint32_t engine, ContainerId cont,
-                             const ObjectId& oid, const std::string& dkey) {
-  map_->journal().Record(engine, ResyncEntry{cont, oid, dkey});
+void DaosClient::JournalMiss(std::uint32_t engine, const ObjCall& call) {
+  map_->journal().Record(
+      engine, ResyncEntry{call.cont, call.oid, std::string(call.dkey)});
 }
 
 Result<rpc::RpcReply> DaosClient::Call(std::uint32_t engine,
                                        std::uint32_t opcode,
-                                       const rpc::Encoder& header,
-                                       const rpc::CallOptions& options) {
+                                       const rpc::Encoder& header) {
   if (map_->state(engine) == EngineState::kDown) {
     return Status(Unavailable("engine " + std::to_string(engine) +
                               " is down"));
   }
-  return engines_[engine].rpc->Call(opcode, header, options);
+  return engines_[engine].rpc->Call(opcode, header);
+}
+
+Result<rpc::RpcReply> DaosClient::CallAll(std::uint32_t opcode,
+                                          const rpc::Encoder& header) {
+  Result<rpc::RpcReply> first = Status(Internal("no engines"));
+  for (std::uint32_t e = 0; e < engines_.size(); ++e) {
+    auto reply = Call(e, opcode, header);
+    if (!reply.ok()) return reply;
+    if (e == 0) {
+      first = std::move(reply);
+    } else if (reply->header != first->header) {
+      return Status(Internal("engines returned divergent metadata"));
+    }
+  }
+  return first;
 }
 
 Result<telemetry::TelemetrySnapshot> DaosClient::TelemetryQuery(
@@ -174,106 +204,142 @@ Result<telemetry::TelemetrySnapshot> DaosClient::TelemetryQuery(
   return telemetry::TelemetrySnapshot::DecodeFrom(dec);
 }
 
-Result<rpc::RpcClient::CallId> DaosClient::CallAsyncEngine(
-    std::uint32_t engine, std::uint32_t opcode, const rpc::Encoder& header,
-    const rpc::CallOptions& options) {
-  if (map_->state(engine) == EngineState::kDown) {
-    return Status(Unavailable("engine " + std::to_string(engine) +
-                              " is down"));
-  }
-  return engines_[engine].rpc->CallAsync(opcode, header, options);
+// ---------------------------------------------------- issue/await core
+
+DaosClient::ObjCall::ObjCall(DaosOpcode opcode, bool write, ContainerId cont,
+                             const ObjectId& oid, std::string_view dkey,
+                             std::string_view akey, Epoch epoch)
+    : opcode(std::uint32_t(opcode)),
+      write(write),
+      cont(cont),
+      oid(oid),
+      dkey(dkey),
+      epoch(epoch) {
+  header.U64(cont).U64(oid.hi).U64(oid.lo).Str(dkey).Str(akey);
 }
 
-Result<rpc::RpcReply> DaosClient::CallReplicas(
-    ContainerId cont, const ObjectId& oid, const std::string& dkey,
-    std::uint32_t opcode, const rpc::Encoder& header,
-    const rpc::CallOptions& options) {
-  const std::uint32_t primary = PrimaryEngine(oid, dkey);
-  // Degraded write-all: issue every copy concurrently to the writable
-  // replicas, then await. There is deliberately NO up-front all-replicas
-  // check (the old CheckReplicasUp raced concurrent down-transitions) —
-  // the per-send outcome is authoritative: a DOWN replica, a send that
-  // fails UNAVAILABLE, or an UNAVAILABLE reply all degrade into resync-
-  // journal entries instead of failing the op.
-  struct Issued {
-    std::uint32_t engine;
-    rpc::RpcClient::CallId id;
-    bool rebuilding;  // post-completion journal mark (see pool_map.h)
-  };
-  std::vector<Issued> issued;
-  issued.reserve(replicas_);
-  for (std::uint32_t r = 0; r < replicas_; ++r) {
-    const std::uint32_t e = ReplicaEngine(primary, r);
-    const EngineState st = map_->state(e);
-    if (st == EngineState::kDown) {
-      JournalMiss(e, cont, oid, dkey);
-      continue;
-    }
-    auto id = engines_[e].rpc->CallAsync(opcode, header, options);
-    if (id.ok()) {
-      issued.push_back({e, *id, st == EngineState::kRebuilding});
-      continue;
-    }
-    if (id.status().code() == ErrorCode::kUnavailable) {
-      JournalMiss(e, cont, oid, dkey);  // raced the down-transition
-      continue;
-    }
-    // A hard issue error (window stall, encode overflow) is not a health
-    // event: drain what already went out, then surface it.
-    Status hard = id.status();
-    for (const Issued& is : issued) {
-      (void)engines_[is.engine].rpc->Await(is.id);
-    }
-    return hard;
+struct DaosClient::Copy {
+  std::uint32_t engine = 0;
+  rpc::RpcClient::CallId id = 0;
+  bool issued = false;
+  bool rebuilding = false;  // journal once landed (see pool_map.h)
+};
+
+Status DaosClient::Run(std::span<ObjCall> calls) {
+  // One copy slot per replica of every call (a read uses the first). A
+  // unary call fits the stack array, so the core allocates nothing for it.
+  std::array<Copy, 8> stack_copies{};
+  std::vector<Copy> heap_copies;
+  std::span<Copy> copies(stack_copies);
+  if (calls.size() * replicas_ > stack_copies.size()) {
+    heap_copies.resize(calls.size() * replicas_);
+    copies = heap_copies;
   }
+  // Issue phase: nothing is awaited yet. The RPC layer's in-flight window
+  // applies backpressure by pumping progress, so arbitrarily large batches
+  // stream through a bounded window.
+  Status stopped = Status::Ok();
+  std::size_t issued = 0;
+  while (issued < calls.size() && stopped.ok()) {
+    stopped = Issue(calls[issued],
+                    copies.subspan(issued * replicas_, replicas_));
+    // Every copy has its own request frame now: drop the header so the
+    // await phase holds no request bytes (single values ride inline).
+    (void)calls[issued].header.Take();
+    ++issued;
+  }
+  // Await phase: drain everything that was issued, even past a failure —
+  // an error must not strand calls in the pipeline.
+  for (std::size_t i = 0; i < issued; ++i) {
+    Complete(calls[i], copies.subspan(i * replicas_, replicas_));
+  }
+  for (std::size_t i = issued; i < calls.size(); ++i) {
+    calls[i].outcome =
+        Status(Unavailable("not issued: an earlier op failed to issue"));
+  }
+  return stopped;
+}
+
+Result<rpc::RpcReply> DaosClient::RunOne(ObjCall& call) {
+  (void)Run(std::span<ObjCall>(&call, 1));
+  return std::move(call.outcome);
+}
+
+Status DaosClient::Issue(ObjCall& call, std::span<Copy> copies) {
+  // A read goes to the one engine ReadEngine picks; a write goes to every
+  // replica on the ring from the primary.
+  std::uint32_t first = PrimaryEngine(call.oid, call.dkey);
+  std::uint32_t targets = replicas_;
+  if (!call.write) {
+    Result<std::uint32_t> engine = ReadEngine(first, call.epoch);
+    if (!engine.ok()) {
+      call.outcome = engine.status();
+      return engine.status();
+    }
+    first = *engine;
+    targets = 1;
+  }
+  for (std::uint32_t r = 0; r < targets; ++r) {
+    const std::uint32_t e = ReplicaEngine(first, r);
+    const EngineState st = map_->state(e);
+    if (call.write && st == EngineState::kDown) {
+      JournalMiss(e, call);
+      continue;
+    }
+    auto id = engines_[e].rpc->CallAsync(call.opcode, call.header,
+                                         call.options);
+    if (id.ok()) {
+      const bool rebuilding = call.write && st == EngineState::kRebuilding;
+      copies[r] = {e, *id, true, rebuilding};
+    } else if (call.write && id.status().code() == ErrorCode::kUnavailable) {
+      JournalMiss(e, call);  // the send raced the down-transition
+    } else {
+      // A hard issue error (window stall, encode overflow) is not a health
+      // event: stop issuing; Complete drains what already went out.
+      call.outcome = id.status();
+      return id.status();
+    }
+  }
+  return Status::Ok();
+}
+
+void DaosClient::Complete(ObjCall& call, std::span<Copy> copies) {
+  Status hard = call.outcome.status();  // an issue error, if any
   std::uint32_t landed = 0;
-  Status hard = Status::Ok();
-  Result<rpc::RpcReply> first = Status(Internal("no replica copy landed"));
-  for (const Issued& is : issued) {
-    // Await every issued copy even past a failure: later replicas must
-    // not be left dangling in the pipeline.
-    auto reply = engines_[is.engine].rpc->Await(is.id);
+  for (const Copy& copy : copies) {
+    if (!copy.issued) continue;
+    auto reply = engines_[copy.engine].rpc->Await(copy.id);
     if (reply.ok()) {
-      ++landed;
-      if (landed == 1) first = std::move(reply);
       // A copy that landed on a REBUILDING engine may still be overwritten
       // by an in-flight rebuild pass importing older survivor state at a
       // higher epoch: journal it so the rebuild's journal-drain loop
       // re-silvers survivor HEAD (which includes this completed write).
-      if (is.rebuilding) JournalMiss(is.engine, cont, oid, dkey);
-    } else if (reply.status().code() == ErrorCode::kUnavailable) {
-      JournalMiss(is.engine, cont, oid, dkey);
+      if (copy.rebuilding) JournalMiss(copy.engine, call);
+      if (++landed == 1) call.outcome = std::move(reply);
+    } else if (call.write &&
+               reply.status().code() == ErrorCode::kUnavailable) {
+      JournalMiss(copy.engine, call);
     } else if (hard.ok()) {
       hard = reply.status();
     }
   }
-  const std::string copies =
-      std::to_string(landed) + "/" + std::to_string(replicas_);
+  if (hard.ok() && landed > 0) return;
+  if (!call.write) {
+    call.outcome = std::move(hard);
+    return;
+  }
+  const std::string copies_landed = std::to_string(landed) + "/" +
+                                    std::to_string(replicas_) +
+                                    " replica copies landed";
   if (!hard.ok()) {
-    return Status(hard.code(), hard.message() + " (replica copy failed; " +
-                                   copies + " replica copies landed)");
+    call.outcome = Status(hard.code(), hard.message() +
+                                           " (replica copy failed; " +
+                                           copies_landed + ")");
+  } else {
+    call.outcome = Status(Unavailable(
+        "no writable replica: " + copies_landed + " (pool map v" +
+        std::to_string(map_->version()) + ")"));
   }
-  if (landed == 0) {
-    return Status(Unavailable("no writable replica: " + copies +
-                              " replica copies landed (pool map v" +
-                              std::to_string(map_->version()) + ")"));
-  }
-  return first;
-}
-
-Result<rpc::RpcReply> DaosClient::CallAll(std::uint32_t opcode,
-                                          const rpc::Encoder& header) {
-  Result<rpc::RpcReply> first = Status(Internal("no engines"));
-  for (std::uint32_t e = 0; e < engines_.size(); ++e) {
-    auto reply = Call(e, opcode, header);
-    if (!reply.ok()) return reply;
-    if (e == 0) {
-      first = std::move(reply);
-    } else if (reply->header != first->header) {
-      return Status(Internal("engines returned divergent metadata"));
-    }
-  }
-  return first;
 }
 
 // ------------------------------------------------------------ containers
@@ -320,240 +386,76 @@ Result<Epoch> DaosClient::Update(ContainerId cont, const ObjectId& oid,
                                  const std::string& akey,
                                  std::uint64_t offset,
                                  std::span<const std::byte> data) {
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(offset);
-  rpc::CallOptions options;
-  options.send_bulk = data;
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      CallReplicas(cont, oid, dkey, std::uint32_t(DaosOpcode::kObjUpdate),
-                   enc, options));
-  rpc::Decoder dec(reply.header);
-  return dec.U64();
+  ObjCall call(DaosOpcode::kObjUpdate, kWrite, cont, oid, dkey, akey);
+  call.header.U64(offset);
+  call.options.send_bulk = data;
+  return DecodeU64(RunOne(call));
 }
 
 Status DaosClient::Fetch(ContainerId cont, const ObjectId& oid,
                          const std::string& dkey, const std::string& akey,
                          std::uint64_t offset, std::span<std::byte> out,
                          Epoch epoch) {
-  // Snapshot reads pin to the primary (epochs are per-engine); HEAD reads
-  // fail over across replicas.
-  std::uint32_t engine = 0;
-  if (epoch != kEpochHead) {
-    engine = PrimaryEngine(oid, dkey);
-    ROS2_RETURN_IF_ERROR(RequireUp(engine));
-  } else {
-    ROS2_ASSIGN_OR_RETURN(engine, ReadableEngine(oid, dkey));
-  }
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(offset).U64(out.size()).U64(epoch);
-  rpc::CallOptions options;
-  options.recv_bulk = out;
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      Call(engine, std::uint32_t(DaosOpcode::kObjFetch), enc,
-           options));
-  if (reply.bulk_received != out.size()) {
-    return DataLoss("short DAOS fetch");
-  }
-  return Status::Ok();
+  ObjCall call(DaosOpcode::kObjFetch, kRead, cont, oid, dkey, akey, epoch);
+  call.header.U64(offset).U64(out.size()).U64(epoch);
+  call.options.recv_bulk = out;
+  return CheckFetched(RunOne(call), out.size());
 }
 
 // -------------------------------------------------------------- batches
 
 Result<std::vector<Epoch>> DaosClient::UpdateBatch(
     std::span<const UpdateOp> ops) {
-  // Issue phase: every op, every writable replica — nothing awaited yet.
-  // The RPC layer's in-flight window applies backpressure by pumping
-  // progress, so arbitrarily large batches stream through bounded client
-  // state. Same degraded semantics as CallReplicas, per op: DOWN (or
-  // racing-down) replicas journal instead of failing the batch.
-  struct Issued {
-    std::uint32_t engine = 0;
-    rpc::RpcClient::CallId id = 0;
-    bool rebuilding = false;
-  };
-  std::vector<std::vector<Issued>> copies(ops.size());
-  Status failure = Status::Ok();
-  for (std::size_t i = 0; i < ops.size() && failure.ok(); ++i) {
-    const UpdateOp& op = ops[i];
-    rpc::Encoder enc;
-    EncodeObjAddr(enc, op.cont, op.oid, op.dkey, op.akey);
-    enc.U64(op.offset);
-    rpc::CallOptions options;
-    options.send_bulk = op.data;
-    const std::uint32_t primary = PrimaryEngine(op.oid, op.dkey);
-    copies[i].reserve(replicas_);
-    for (std::uint32_t r = 0; r < replicas_; ++r) {
-      const std::uint32_t e = ReplicaEngine(primary, r);
-      const EngineState st = map_->state(e);
-      if (st == EngineState::kDown) {
-        JournalMiss(e, op.cont, op.oid, op.dkey);
-        continue;
-      }
-      auto id = engines_[e].rpc->CallAsync(
-          std::uint32_t(DaosOpcode::kObjUpdate), enc, options);
-      if (id.ok()) {
-        copies[i].push_back({e, *id, st == EngineState::kRebuilding});
-      } else if (id.status().code() == ErrorCode::kUnavailable) {
-        JournalMiss(e, op.cont, op.oid, op.dkey);
-      } else {
-        failure = id.status();  // hard issue error: stop issuing, drain
-        break;
-      }
-    }
+  std::vector<ObjCall> calls;
+  calls.reserve(ops.size());
+  for (const UpdateOp& op : ops) {
+    ObjCall& call = calls.emplace_back(DaosOpcode::kObjUpdate, kWrite,
+                                       op.cont, op.oid, op.dkey, op.akey);
+    call.header.U64(op.offset);
+    call.options.send_bulk = op.data;
   }
-  // Await phase: drain everything that was issued, even past a failure —
-  // a batch error must not strand calls in the pipeline.
-  std::vector<Epoch> epochs(ops.size(), 0);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    std::uint32_t landed = 0;
-    for (const Issued& copy : copies[i]) {
-      auto reply = engines_[copy.engine].rpc->Await(copy.id);
-      if (reply.ok()) {
-        ++landed;
-        if (copy.rebuilding) {
-          JournalMiss(copy.engine, ops[i].cont, ops[i].oid, ops[i].dkey);
-        }
-        if (landed > 1) continue;
-        rpc::Decoder dec(reply->header);
-        auto epoch = dec.U64();
-        if (epoch.ok()) {
-          epochs[i] = *epoch;
-        } else if (failure.ok()) {
-          failure = epoch.status();
-        }
-      } else if (reply.status().code() == ErrorCode::kUnavailable) {
-        JournalMiss(copy.engine, ops[i].cont, ops[i].oid, ops[i].dkey);
-      } else if (failure.ok()) {
-        failure = reply.status();
-      }
-    }
-    if (landed == 0 && failure.ok()) {
-      failure = Unavailable(
-          "no writable replica for batch op " + std::to_string(i) + ": 0/" +
-          std::to_string(replicas_) + " replica copies landed (pool map v" +
-          std::to_string(map_->version()) + ")");
-    }
+  (void)Run(calls);
+  std::vector<Epoch> epochs;
+  epochs.reserve(ops.size());
+  for (const ObjCall& call : calls) {
+    ROS2_ASSIGN_OR_RETURN(Epoch epoch, DecodeU64(call.outcome));
+    epochs.push_back(epoch);
   }
-  if (!failure.ok()) return failure;
   return epochs;
 }
 
 Status DaosClient::FetchBatch(std::span<const FetchOp> ops) {
-  struct Issued {
-    std::uint32_t engine = 0;
-    rpc::RpcClient::CallId id = 0;
-    bool issued = false;
-  };
-  std::vector<Issued> issued(ops.size());
-  Status failure = Status::Ok();
-  for (std::size_t i = 0; i < ops.size() && failure.ok(); ++i) {
-    const FetchOp& op = ops[i];
-    // Same engine selection as Fetch: snapshot reads pin to the primary
-    // (epochs are per-engine), HEAD reads fail over across replicas.
-    std::uint32_t engine = 0;
-    if (op.epoch != kEpochHead) {
-      engine = PrimaryEngine(op.oid, op.dkey);
-      Status up = RequireUp(engine);
-      if (!up.ok()) {
-        failure = std::move(up);
-        break;
-      }
-    } else {
-      auto readable = ReadableEngine(op.oid, op.dkey);
-      if (!readable.ok()) {
-        failure = readable.status();
-        break;
-      }
-      engine = *readable;
-    }
-    rpc::Encoder enc;
-    EncodeObjAddr(enc, op.cont, op.oid, op.dkey, op.akey);
-    enc.U64(op.offset).U64(op.out.size()).U64(op.epoch);
-    rpc::CallOptions options;
-    options.recv_bulk = op.out;
-    auto id = CallAsyncEngine(engine, std::uint32_t(DaosOpcode::kObjFetch),
-                              enc, options);
-    if (!id.ok()) {
-      failure = id.status();
-      break;
-    }
-    issued[i] = {engine, *id, true};
+  std::vector<ObjCall> calls;
+  calls.reserve(ops.size());
+  for (const FetchOp& op : ops) {
+    ObjCall& call = calls.emplace_back(DaosOpcode::kObjFetch, kRead, op.cont,
+                                       op.oid, op.dkey, op.akey, op.epoch);
+    call.header.U64(op.offset).U64(op.out.size()).U64(op.epoch);
+    call.options.recv_bulk = op.out;
   }
+  (void)Run(calls);
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (!issued[i].issued) continue;
-    auto reply = engines_[issued[i].engine].rpc->Await(issued[i].id);
-    if (!reply.ok()) {
-      if (failure.ok()) failure = reply.status();
-      continue;
-    }
-    if (reply->bulk_received != ops[i].out.size() && failure.ok()) {
-      failure = DataLoss("short DAOS fetch");
-    }
+    ROS2_RETURN_IF_ERROR(CheckFetched(calls[i].outcome, ops[i].out.size()));
   }
-  return failure;
+  return Status::Ok();
 }
 
 Result<std::vector<Result<Buffer>>> DaosClient::FetchSingleBatch(
     std::span<const SingleFetchOp> ops) {
-  struct Issued {
-    std::uint32_t engine = 0;
-    rpc::RpcClient::CallId id = 0;
-    bool issued = false;
-  };
-  std::vector<Issued> issued(ops.size());
-  Status failure = Status::Ok();
-  for (std::size_t i = 0; i < ops.size() && failure.ok(); ++i) {
-    const SingleFetchOp& op = ops[i];
-    std::uint32_t engine = 0;
-    if (op.epoch != kEpochHead) {
-      engine = PrimaryEngine(op.oid, op.dkey);
-      Status up = RequireUp(engine);
-      if (!up.ok()) {
-        failure = std::move(up);
-        break;
-      }
-    } else {
-      auto readable = ReadableEngine(op.oid, op.dkey);
-      if (!readable.ok()) {
-        failure = readable.status();
-        break;
-      }
-      engine = *readable;
-    }
-    rpc::Encoder enc;
-    EncodeObjAddr(enc, op.cont, op.oid, op.dkey, op.akey);
-    enc.U64(op.epoch);
-    auto id = CallAsyncEngine(engine, std::uint32_t(DaosOpcode::kSingleFetch),
-                              enc);
-    if (!id.ok()) {
-      failure = id.status();
-      break;
-    }
-    issued[i] = {engine, *id, true};
+  std::vector<ObjCall> calls;
+  calls.reserve(ops.size());
+  for (const SingleFetchOp& op : ops) {
+    calls.emplace_back(DaosOpcode::kSingleFetch, kRead, op.cont, op.oid,
+                       op.dkey, op.akey, op.epoch)
+        .header.U64(op.epoch);
   }
   // Per-op outcomes: a missing record is data, not a batch failure —
-  // readdir skips punched entries by looking at each op's status. The
-  // whole batch still drains past an issue error so no call is stranded.
+  // readdir skips punched entries by looking at each op's status. Only an
+  // issue-path error fails the whole call.
+  ROS2_RETURN_IF_ERROR(Run(calls));
   std::vector<Result<Buffer>> out;
   out.reserve(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (!issued[i].issued) {
-      out.push_back(Status(Unavailable("single fetch was never issued")));
-      continue;
-    }
-    auto reply = engines_[issued[i].engine].rpc->Await(issued[i].id);
-    if (!reply.ok()) {
-      out.push_back(reply.status());
-      continue;
-    }
-    rpc::Decoder dec(reply->header);
-    out.push_back(dec.Bytes());
-  }
-  if (!failure.ok()) return failure;
+  for (const ObjCall& call : calls) out.push_back(DecodeBytes(call.outcome));
   return out;
 }
 
@@ -563,35 +465,17 @@ Result<Epoch> DaosClient::UpdateSingle(ContainerId cont, const ObjectId& oid,
                                        const std::string& dkey,
                                        const std::string& akey,
                                        std::span<const std::byte> value) {
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.Bytes(value);
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      CallReplicas(cont, oid, dkey, std::uint32_t(DaosOpcode::kSingleUpdate),
-                   enc));
-  rpc::Decoder dec(reply.header);
-  return dec.U64();
+  ObjCall call(DaosOpcode::kSingleUpdate, kWrite, cont, oid, dkey, akey);
+  call.header.Bytes(value);
+  return DecodeU64(RunOne(call));
 }
 
 Result<Buffer> DaosClient::FetchSingle(ContainerId cont, const ObjectId& oid,
                                        const std::string& dkey,
                                        const std::string& akey, Epoch epoch) {
-  std::uint32_t engine = 0;
-  if (epoch != kEpochHead) {
-    engine = PrimaryEngine(oid, dkey);
-    ROS2_RETURN_IF_ERROR(RequireUp(engine));
-  } else {
-    ROS2_ASSIGN_OR_RETURN(engine, ReadableEngine(oid, dkey));
-  }
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(epoch);
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      Call(engine, std::uint32_t(DaosOpcode::kSingleFetch), enc));
-  rpc::Decoder dec(reply.header);
-  return dec.Bytes();
+  ObjCall call(DaosOpcode::kSingleFetch, kRead, cont, oid, dkey, akey, epoch);
+  call.header.U64(epoch);
+  return DecodeBytes(RunOne(call));
 }
 
 // ---------------------------------------------------------------- punch
@@ -599,28 +483,22 @@ Result<Buffer> DaosClient::FetchSingle(ContainerId cont, const ObjectId& oid,
 Status DaosClient::Punch(ContainerId cont, const ObjectId& oid,
                          const std::string& dkey, const std::string& akey,
                          PunchScope scope) {
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U8(std::uint8_t(scope));
-  if (scope == PunchScope::kObject) {
-    // The object's dkeys (and replicas) may live on every engine.
-    bool any = false;
-    for (std::uint32_t e = 0; e < engines_.size(); ++e) {
-      auto reply = Call(e, std::uint32_t(DaosOpcode::kObjPunch),
-                        enc);
-      if (reply.ok()) {
-        any = true;
-      } else if (reply.status().code() == ErrorCode::kUnavailable) {
-        return reply.status();  // down engine: fail loudly, not silently
-      } else if (reply.status().code() != ErrorCode::kNotFound) {
-        return reply.status();
-      }
+  ObjCall call(DaosOpcode::kObjPunch, kWrite, cont, oid, dkey, akey);
+  call.header.U8(std::uint8_t(scope));
+  if (scope != PunchScope::kObject) return RunOne(call).status();
+  // The object's dkeys (and replicas) may live on every engine.
+  bool any = false;
+  for (std::uint32_t e = 0; e < engines_.size(); ++e) {
+    auto reply = Call(e, call.opcode, call.header);
+    if (reply.ok()) {
+      any = true;
+    } else if (reply.status().code() == ErrorCode::kUnavailable) {
+      return reply.status();  // down engine: fail loudly, not silently
+    } else if (reply.status().code() != ErrorCode::kNotFound) {
+      return reply.status();
     }
-    return any ? Status::Ok() : NotFound("no such object");
   }
-  return CallReplicas(cont, oid, dkey, std::uint32_t(DaosOpcode::kObjPunch),
-                      enc)
-      .status();
+  return any ? Status::Ok() : NotFound("no such object");
 }
 
 Status DaosClient::PunchObject(ContainerId cont, const ObjectId& oid) {
@@ -648,17 +526,22 @@ Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
                                                        const ObjectId& oid,
                                                        const std::string& marker,
                                                        std::uint32_t limit) {
-  // Dkeys spread across engines; each engine pre-filters (> marker) and
-  // pre-truncates to `limit`, so the client merge set holds at most
-  // engines * limit entries, never the whole directory.
+  // A dkey placed on engine p lives on p's replica ring, so the UP engines
+  // hold every dkey only if each ring has a readable member. Otherwise the
+  // listing would be silently partial (and DFS would unlink a non-empty
+  // directory as empty).
+  for (std::uint32_t p = 0; p < engines_.size(); ++p) {
+    ROS2_RETURN_IF_ERROR(ReadEngine(p, kEpochHead).status());
+  }
+  // Each engine pre-filters (> marker) and pre-truncates to `limit`, so
+  // the client merge set holds at most engines * limit entries, never the
+  // whole directory.
   rpc::Encoder enc;
   enc.U64(cont).U64(oid.hi).U64(oid.lo).Str(marker).U32(limit);
   std::set<std::string> merged;
-  bool any_up = false;
   bool more = false;
   for (std::uint32_t e = 0; e < engines_.size(); ++e) {
     if (!map_->readable(e)) continue;
-    any_up = true;
     ROS2_ASSIGN_OR_RETURN(
         rpc::RpcReply reply,
         Call(e, std::uint32_t(DaosOpcode::kListDkeys), enc));
@@ -671,7 +554,6 @@ Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
     ROS2_ASSIGN_OR_RETURN(std::uint8_t engine_more, dec.U8());
     more = more || engine_more != 0;
   }
-  if (!any_up) return Status(Unavailable("all engines are down"));
   DkeyPage page;
   page.dkeys.assign(merged.begin(), merged.end());
   if (limit != 0 && page.dkeys.size() > limit) {
@@ -686,12 +568,8 @@ Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
 
 Result<std::vector<std::string>> DaosClient::ListAkeys(
     ContainerId cont, const ObjectId& oid, const std::string& dkey) {
-  ROS2_ASSIGN_OR_RETURN(std::uint32_t engine, ReadableEngine(oid, dkey));
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, "");
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      Call(engine, std::uint32_t(DaosOpcode::kListAkeys), enc));
+  ObjCall call(DaosOpcode::kListAkeys, kRead, cont, oid, dkey, "");
+  ROS2_ASSIGN_OR_RETURN(rpc::RpcReply reply, RunOne(call));
   return DecodeStringList(reply.header);
 }
 
@@ -700,32 +578,17 @@ Result<std::uint64_t> DaosClient::ArraySize(ContainerId cont,
                                             const std::string& dkey,
                                             const std::string& akey,
                                             Epoch epoch) {
-  std::uint32_t engine = 0;
-  if (epoch != kEpochHead) {
-    engine = PrimaryEngine(oid, dkey);
-    ROS2_RETURN_IF_ERROR(RequireUp(engine));
-  } else {
-    ROS2_ASSIGN_OR_RETURN(engine, ReadableEngine(oid, dkey));
-  }
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(epoch);
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      Call(engine, std::uint32_t(DaosOpcode::kArraySize), enc));
-  rpc::Decoder dec(reply.header);
-  return dec.U64();
+  ObjCall call(DaosOpcode::kArraySize, kRead, cont, oid, dkey, akey, epoch);
+  call.header.U64(epoch);
+  return DecodeU64(RunOne(call));
 }
 
 Status DaosClient::Aggregate(ContainerId cont, const ObjectId& oid,
                              const std::string& dkey, const std::string& akey,
                              Epoch upto) {
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(upto);
-  return CallReplicas(cont, oid, dkey, std::uint32_t(DaosOpcode::kAggregate),
-                      enc)
-      .status();
+  ObjCall call(DaosOpcode::kAggregate, kWrite, cont, oid, dkey, akey);
+  call.header.U64(upto);
+  return RunOne(call).status();
 }
 
 }  // namespace ros2::daos

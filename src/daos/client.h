@@ -11,21 +11,26 @@
 // engine first (then onto a target inside it), and updates optionally
 // replicate onto the next `replicas-1` engines. Engine health comes from
 // the versioned PoolMap (shareable with the control plane and the rebuild
-// task): HEAD reads fail over to the first UP replica; updates degrade
-// gracefully — a copy whose replica is DOWN (or whose send races the
-// down-transition: per-send rejection is authoritative, there is no
-// pre-send check to race) is recorded in the map's resync journal instead
-// of failing the op, and the rebuild task replays the journal later. An
-// update fails only when no replica copy lands at all, or a replica
-// returns a non-UNAVAILABLE error (the Status then reports how many
-// copies landed). Epoch stamps are per-engine, so snapshot reads pin to
-// the engine that issued the epoch (documented simplification).
+// task).
 //
-// Pipelining: replica updates are issued CONCURRENTLY to every replica
-// engine (CallAsync fan-out, then await) instead of serially, and the
-// batch APIs (UpdateBatch/FetchBatch) keep many data-plane RPCs in
-// flight at once — one engine progress tick then services the whole
-// window, which is where the paper's "heavy traffic" throughput comes
+// Every object op — unary or batched — runs through ONE issue/await core
+// (Run): a span of ops goes out in full before any reply is awaited, and
+// each op gets its own outcome. The unary calls are batch-of-one wrappers
+// and the batch calls adapt the per-op outcomes, so the routing and
+// degraded-replica rules below are written once:
+//   - reads: a snapshot read (epoch != kEpochHead) pins to the primary,
+//     which must be UP (epoch stamps are per-engine — a documented
+//     simplification); a HEAD read fails over to the first UP replica.
+//   - writes go to every replica concurrently. A copy whose replica is
+//     DOWN, whose send fails UNAVAILABLE, or whose reply is UNAVAILABLE is
+//     recorded in the map's resync journal instead of failing the op (the
+//     per-send outcome is authoritative; there is no pre-send check to
+//     race), and a copy that lands on a REBUILDING engine is journaled
+//     after completion. A write fails only when no copy lands ("0/N
+//     replica copies landed") or a copy returns a non-UNAVAILABLE error
+//     (the Status then reports how many copies landed).
+// Keeping a whole batch in flight lets one engine progress tick service
+// the window, which is where the paper's "heavy traffic" throughput comes
 // from (bench_micro_pipeline gates the win).
 #pragma once
 
@@ -33,6 +38,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -94,9 +100,14 @@ class DaosClient {
   Result<ContainerId> ContainerOpen(const std::string& label);
 
   // --- objects -----------------------------------------------------------
+  // Every call below that names a dkey is a write (replica fan-out with the
+  // degraded rules in the file comment) or a read (snapshot pins to the
+  // primary, HEAD fails over) through the one issue/await core; the unary
+  // forms are batches of one.
   Result<ObjectId> AllocOid(ContainerId cont);
 
-  /// Array write; returns the stamped epoch.
+  /// Array write; returns the stamped epoch (the primary's copy when it is
+  /// up, else the first replica copy that landed).
   Result<Epoch> Update(ContainerId cont, const ObjectId& oid,
                        const std::string& dkey, const std::string& akey,
                        std::uint64_t offset,
@@ -109,10 +120,12 @@ class DaosClient {
 
   // --- pipelined batches --------------------------------------------------
   // One batch issues every op (and every replica copy) before awaiting any
-  // reply, so a single engine progress tick drains the whole window. The
-  // caller's data/out buffers must stay alive until the batch call
-  // returns. Ops on the same dkey keep their in-batch order (per-target
-  // FIFO); ops on different dkeys may execute interleaved.
+  // reply, so a single engine progress tick drains the whole window. Each
+  // op follows exactly the rules of its unary form; the first op that
+  // cannot be issued stops the issue phase, and everything issued is still
+  // drained. The caller's data/out buffers must stay alive until the batch
+  // call returns. Ops on the same dkey keep their in-batch order
+  // (per-target FIFO); ops on different dkeys may execute interleaved.
 
   struct UpdateOp {
     ContainerId cont = 0;
@@ -132,16 +145,12 @@ class DaosClient {
     Epoch epoch = kEpochHead;
   };
 
-  /// Pipelined array writes; returns each op's stamped epoch (the first
-  /// replica copy that landed; the primary's when it is up). Degraded
-  /// replica semantics per op — DOWN replicas are journaled, not errors;
-  /// an op fails only when no copy lands or a copy returns a hard error
-  /// (remaining in-flight ops still drain).
+  /// Pipelined array writes; returns each op's stamped epoch as Update
+  /// does, or the first failed op's error (same Status as Update's).
   Result<std::vector<Epoch>> UpdateBatch(std::span<const UpdateOp> ops);
 
   /// Pipelined array reads into each op's `out` window (holes as zeros).
-  /// Fails on the first op error (short reads are DATA_LOSS), after
-  /// draining the whole batch.
+  /// Fails with the first failed op's error (short reads are DATA_LOSS).
   Status FetchBatch(std::span<const FetchOp> ops);
 
   /// One single-value read in a pipelined batch (kSingleFetch is a
@@ -154,12 +163,10 @@ class DaosClient {
     Epoch epoch = kEpochHead;
   };
 
-  /// Pipelined single-value reads: every request is in flight before any
-  /// reply is awaited (DFS readdir uses this to fetch a page of entry
+  /// Pipelined single-value reads (DFS readdir fetches a page of entry
   /// records in one window). Per-op outcomes are independent — a missing
   /// record is that op's NOT_FOUND, not the batch's — so the call itself
-  /// only fails on issue-path errors (down engines, encode failures),
-  /// after draining whatever was issued.
+  /// only fails on issue-path errors (no UP engine, encode failures).
   Result<std::vector<Result<Buffer>>> FetchSingleBatch(
       std::span<const SingleFetchOp> ops);
 
@@ -187,9 +194,11 @@ class DaosClient {
     bool more = false;
   };
 
-  /// Server-side paged enumeration: every engine filters `> marker`,
+  /// Server-side paged enumeration: every UP engine filters `> marker`,
   /// sorts, and truncates to `limit` before replying, so a million-entry
   /// directory never materializes whole on either side (limit 0 = all).
+  /// UNAVAILABLE when some engine's dkeys have no UP replica — a listing
+  /// is complete or it is an error, never silently partial.
   Result<DkeyPage> ListDkeysPage(ContainerId cont, const ObjectId& oid,
                                  const std::string& marker,
                                  std::uint32_t limit);
@@ -223,6 +232,30 @@ class DaosClient {
     std::unique_ptr<rpc::RpcClient> rpc;
   };
 
+  /// One object op for the issue/await core. The constructor encodes the
+  /// object address (cont, oid, dkey, akey); callers append the opcode's
+  /// remaining header fields and bulk windows. `oid` and `dkey` must
+  /// outlive the call.
+  struct ObjCall {
+    ObjCall(DaosOpcode opcode, bool write, ContainerId cont,
+            const ObjectId& oid, std::string_view dkey, std::string_view akey,
+            Epoch epoch = kEpochHead);
+
+    std::uint32_t opcode;
+    bool write;   ///< fans out to every replica; else reads one engine
+    ContainerId cont;
+    const ObjectId& oid;
+    std::string_view dkey;
+    Epoch epoch;  ///< routing of reads (the header carries its own copy)
+    rpc::Encoder header;
+    rpc::CallOptions options;
+    /// Set by Run: the reply (a write's: the first copy that landed, the
+    /// primary's when it is up) or the op's error.
+    Result<rpc::RpcReply> outcome = rpc::RpcReply{};
+  };
+  /// One in-flight replica copy of an ObjCall (defined in client.cc).
+  struct Copy;
+
   DaosClient() = default;
   Status Punch(ContainerId cont, const ObjectId& oid, const std::string& dkey,
                const std::string& akey, PunchScope scope);
@@ -231,42 +264,38 @@ class DaosClient {
   /// (primary + i) % engines. Delegates to placement.h's PlaceEngine so
   /// the rebuild task computes identical replica sets.
   std::uint32_t PrimaryEngine(const ObjectId& oid,
-                              const std::string& dkey) const;
+                              std::string_view dkey) const;
   /// The r-th replica engine on the ring starting at `primary`.
   std::uint32_t ReplicaEngine(std::uint32_t primary, std::uint32_t r) const {
     return (primary + r) % std::uint32_t(engines_.size());
   }
-  /// First UP replica for reads; error when none is.
-  Result<std::uint32_t> ReadableEngine(const ObjectId& oid,
-                                       const std::string& dkey) const;
-  /// UNAVAILABLE unless `engine` is UP (snapshot reads pin to the
-  /// stamping engine and cannot fail over).
-  Status RequireUp(std::uint32_t engine) const;
-  /// Records a missed replica copy of (cont, oid, dkey) owed to `engine`
-  /// in the pool map's resync journal.
-  void JournalMiss(std::uint32_t engine, ContainerId cont,
-                   const ObjectId& oid, const std::string& dkey);
-  /// Unary call against a specific engine. Headers travel as the Encoder
-  /// that built them so the RPC layer can refuse overflowed encodes.
+  /// The engine a read of a dkey placed on `primary` goes to: the primary
+  /// itself for a snapshot epoch (it must be UP), the first UP replica for
+  /// kEpochHead. UNAVAILABLE when there is none.
+  Result<std::uint32_t> ReadEngine(std::uint32_t primary, Epoch epoch) const;
+  /// Records `call`'s missed replica copy owed to `engine` in the pool
+  /// map's resync journal.
+  void JournalMiss(std::uint32_t engine, const ObjCall& call);
+
+  /// The issue/await core: issues every call (stopping at the first that
+  /// cannot be issued), then awaits every issued copy, even past a
+  /// failure, and sets each call's outcome (never-issued calls get
+  /// UNAVAILABLE). Returns the error that stopped the issue phase.
+  Status Run(std::span<ObjCall> calls);
+  /// Batch of one; returns the call's outcome.
+  Result<rpc::RpcReply> RunOne(ObjCall& call);
+  /// Issue phase of one call into its `copies` slots (one per replica).
+  /// An error stops the batch; it is also left in call.outcome.
+  Status Issue(ObjCall& call, std::span<Copy> copies);
+  /// Await phase of one call: drains its copies and sets call.outcome.
+  void Complete(ObjCall& call, std::span<Copy> copies);
+
+  /// Unary call against a specific engine, for ops that are not routed by
+  /// dkey (pool connect, metadata, telemetry, per-engine enumeration).
+  /// Headers travel as the Encoder that built them so the RPC layer can
+  /// refuse overflowed encodes.
   Result<rpc::RpcReply> Call(std::uint32_t engine, std::uint32_t opcode,
-                             const rpc::Encoder& header,
-                             const rpc::CallOptions& options = {});
-  /// Async form of Call: issues without awaiting (DOWN engines rejected).
-  Result<rpc::RpcClient::CallId> CallAsyncEngine(
-      std::uint32_t engine, std::uint32_t opcode,
-      const rpc::Encoder& header, const rpc::CallOptions& options = {});
-  /// Same call issued CONCURRENTLY to every writable replica of
-  /// (oid, dkey) — all requests go out before any reply is awaited; the
-  /// first landed copy's reply is returned (the primary's when it is up).
-  /// DOWN replicas and copies that fail UNAVAILABLE mid-flight degrade
-  /// into journal entries; the call fails only when no copy lands (the
-  /// Status reports "0/N replica copies landed") or a copy returns a
-  /// hard error (annotated with the landed count).
-  Result<rpc::RpcReply> CallReplicas(ContainerId cont, const ObjectId& oid,
-                                     const std::string& dkey,
-                                     std::uint32_t opcode,
-                                     const rpc::Encoder& header,
-                                     const rpc::CallOptions& options = {});
+                             const rpc::Encoder& header);
   /// Broadcast to every engine (container/namespace metadata). Strict: a
   /// DOWN engine fails the broadcast — metadata has no degraded mode.
   Result<rpc::RpcReply> CallAll(std::uint32_t opcode,

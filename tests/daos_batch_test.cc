@@ -248,10 +248,10 @@ TEST_P(DaosBatchTest, DownEngineDegradesBatchWritesAndJournals) {
 }
 
 TEST_P(DaosBatchTest, SynchronousUpdateDegradesAroundDownReplica) {
-  // The concurrent CallReplicas fan-out keeps the serial path's degraded
-  // contract (multiengine_test covers it broadly; this pins the
-  // post-pipeline behavior on a single op): a DOWN replica-set member
-  // never fails the write — the survivors land it and the miss is
+  // The unary Update's concurrent replica fan-out keeps the serial
+  // path's degraded contract (multiengine_test covers it broadly; this
+  // pins the post-pipeline behavior on a single op): a DOWN replica-set
+  // member never fails the write — the survivors land it and the miss is
   // journaled for rebuild.
   auto client = Connect(2);
   ASSERT_TRUE(client.ok());

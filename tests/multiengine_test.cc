@@ -3,9 +3,12 @@
 // counts" follow-up, plus DAOS-style redundancy semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/placement.h"
 #include "dfs/dfs.h"
 
 namespace ros2::daos {
@@ -176,20 +179,143 @@ TEST_P(MultiEngineTest, WriteFailsWhenNoReplicaWritable) {
 TEST_P(MultiEngineTest, SnapshotReadsPinToPrimary) {
   auto client = Connect(/*replicas=*/2, "fabric://c5");
   ASSERT_TRUE(client.ok());
+  DaosClient& c = **client;
+  auto cont = c.ContainerCreate("c");
+  ASSERT_TRUE(cont.ok());
+  auto oid = c.AllocOid(*cont);
+  ASSERT_TRUE(oid.ok());
+  Buffer v1 = MakePatternBuffer(256, 1);
+  Buffer v2 = MakePatternBuffer(256, 2);
+  auto e1 = c.Update(*cont, *oid, "dk", "a", 0, v1);
+  ASSERT_TRUE(e1.ok());
+  ASSERT_TRUE(c.Update(*cont, *oid, "dk", "a", 0, v2).ok());
+  Buffer s1 = MakePatternBuffer(32, 3);
+  Buffer s2 = MakePatternBuffer(32, 4);
+  auto es1 = c.UpdateSingle(*cont, *oid, "dk", "s", s1);
+  ASSERT_TRUE(es1.ok());
+  ASSERT_TRUE(c.UpdateSingle(*cont, *oid, "dk", "s", s2).ok());
+
+  // Every read entry point, at a snapshot epoch or at HEAD.
+  Buffer out(256);
+  auto fetch_batch = [&](Epoch epoch) {
+    DaosClient::FetchOp op;
+    op.cont = *cont;
+    op.oid = *oid;
+    op.dkey = "dk";
+    op.akey = "a";
+    op.out = out;
+    op.epoch = epoch;
+    return c.FetchBatch(std::span(&op, 1));
+  };
+  auto single_batch = [&](Epoch epoch) -> Result<Buffer> {
+    DaosClient::SingleFetchOp op;
+    op.cont = *cont;
+    op.oid = *oid;
+    op.dkey = "dk";
+    op.akey = "s";
+    op.epoch = epoch;
+    ROS2_ASSIGN_OR_RETURN(auto values, c.FetchSingleBatch(std::span(&op, 1)));
+    return values.at(0);
+  };
+
+  ASSERT_TRUE(c.Fetch(*cont, *oid, "dk", "a", 0, out, *e1).ok());
+  EXPECT_EQ(out, v1);
+  ASSERT_TRUE(fetch_batch(*e1).ok());
+  EXPECT_EQ(out, v1);
+  EXPECT_EQ(c.FetchSingle(*cont, *oid, "dk", "s", *es1).value_or({}), s1);
+  EXPECT_EQ(single_batch(*es1).value_or({}), s1);
+  EXPECT_EQ(c.ArraySize(*cont, *oid, "dk", "a", *e1).value_or(0), 256u);
+  ASSERT_TRUE(c.Fetch(*cont, *oid, "dk", "a", 0, out).ok());
+  EXPECT_EQ(out, v2);
+
+  // Primary DOWN: a snapshot read cannot fail over (epochs are
+  // per-engine), on any entry point; HEAD reads fail over to the replica.
+  const std::uint32_t primary = PlaceEngine(*oid, "dk", kEngines);
+  ASSERT_TRUE(c.SetEngineDown(primary, true).ok());
+  EXPECT_EQ(c.Fetch(*cont, *oid, "dk", "a", 0, out, *e1).code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ(fetch_batch(*e1).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(c.FetchSingle(*cont, *oid, "dk", "s", *es1).status().code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ(single_batch(*es1).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(c.ArraySize(*cont, *oid, "dk", "a", *e1).status().code(),
+            ErrorCode::kUnavailable);
+
+  std::fill(out.begin(), out.end(), std::byte{0});
+  ASSERT_TRUE(c.Fetch(*cont, *oid, "dk", "a", 0, out).ok());
+  EXPECT_EQ(out, v2);
+  std::fill(out.begin(), out.end(), std::byte{0});
+  ASSERT_TRUE(fetch_batch(kEpochHead).ok());
+  EXPECT_EQ(out, v2);
+  EXPECT_EQ(c.FetchSingle(*cont, *oid, "dk", "s").value_or({}), s2);
+  EXPECT_EQ(single_batch(kEpochHead).value_or({}), s2);
+  EXPECT_EQ(c.ArraySize(*cont, *oid, "dk", "a").value_or(0), 256u);
+}
+
+TEST_P(MultiEngineTest, ListingWithAnUnreadableEngineFailsInsteadOfDropping) {
+  // Unreplicated pool, the only copy of a directory entry on a DOWN
+  // engine: the listing must fail, not come back without that entry — or
+  // DFS would unlink the non-empty directory as empty and orphan it.
+  auto client = Connect(/*replicas=*/1, "fabric://c8");
+  ASSERT_TRUE(client.ok());
+  auto cont = (*client)->ContainerCreate("posix");
+  ASSERT_TRUE(cont.ok());
+  auto dfs = dfs::Dfs::Mount(client->get(), *cont, /*create=*/true);
+  ASSERT_TRUE(dfs.ok()) << dfs.status().ToString();
+  ASSERT_TRUE((*dfs)->Mkdir("/d").ok());
+  auto root = (*dfs)->Stat("/");
+  auto dir = (*dfs)->Stat("/d");
+  ASSERT_TRUE(root.ok() && dir.ok());
+  // A child whose entry lives on another engine than the "d" entry, so
+  // the directory itself stays resolvable with the owner DOWN.
+  const std::uint32_t dir_engine = PlaceEngine(root->oid, "d", kEngines);
+  std::string name;
+  std::uint32_t owner = dir_engine;
+  for (int i = 0; owner == dir_engine; ++i) {
+    name = "f" + std::to_string(i);
+    owner = PlaceEngine(dir->oid, name, kEngines);
+  }
+  dfs::OpenFlags flags;
+  flags.create = true;
+  auto fd = (*dfs)->Open("/d/" + name, flags);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE((*dfs)->Close(*fd).ok());
+
+  ASSERT_TRUE((*client)->SetEngineDown(owner, true).ok());
+  EXPECT_EQ((*client)->ListDkeys(*cont, dir->oid).status().code(),
+            ErrorCode::kUnavailable);
+  EXPECT_FALSE((*dfs)->Unlink("/d").ok());
+  ASSERT_TRUE((*client)->SetEngineDown(owner, false).ok());
+
+  // Nothing was deleted.
+  EXPECT_TRUE((*dfs)->Stat("/d").ok());
+  auto entries = (*dfs)->Readdir("/d");
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  ASSERT_EQ(entries->size(), 1u);
+  EXPECT_EQ((*entries)[0].name, name);
+}
+
+TEST_P(MultiEngineTest, ReplicatedListingIsCompleteWithAnEngineDown) {
+  auto client = Connect(/*replicas=*/2, "fabric://c9");
+  ASSERT_TRUE(client.ok());
   auto cont = (*client)->ContainerCreate("c");
   ASSERT_TRUE(cont.ok());
   auto oid = (*client)->AllocOid(*cont);
   ASSERT_TRUE(oid.ok());
-  Buffer v1 = MakePatternBuffer(256, 1);
-  Buffer v2 = MakePatternBuffer(256, 2);
-  auto e1 = (*client)->Update(*cont, *oid, "dk", "a", 0, v1);
-  ASSERT_TRUE(e1.ok());
-  ASSERT_TRUE((*client)->Update(*cont, *oid, "dk", "a", 0, v2).ok());
-  Buffer out(256);
-  ASSERT_TRUE((*client)->Fetch(*cont, *oid, "dk", "a", 0, out, *e1).ok());
-  EXPECT_EQ(out, v1);
-  ASSERT_TRUE((*client)->Fetch(*cont, *oid, "dk", "a", 0, out).ok());
-  EXPECT_EQ(out, v2);
+  Buffer data = MakePatternBuffer(64, 5);
+  for (int i = 0; i < 48; ++i) {
+    ASSERT_TRUE((*client)
+                    ->Update(*cont, *oid, "k" + std::to_string(i), "a", 0,
+                             data)
+                    .ok());
+  }
+  for (std::uint32_t down = 0; down < kEngines; ++down) {
+    ASSERT_TRUE((*client)->SetEngineDown(down, true).ok());
+    auto dkeys = (*client)->ListDkeys(*cont, *oid);
+    ASSERT_TRUE(dkeys.ok()) << dkeys.status().ToString();
+    EXPECT_EQ(dkeys->size(), 48u) << "engine " << down << " down";
+    ASSERT_TRUE((*client)->SetEngineDown(down, false).ok());
+  }
 }
 
 TEST_P(MultiEngineTest, DfsRunsUnchangedOnScaleOutPool) {

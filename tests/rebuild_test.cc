@@ -237,7 +237,34 @@ TEST_F(RebuildTest, RebuildRejectsUpEngineAndResyncIsIdempotent) {
   EXPECT_EQ(mgr_->journal_replayed(kVictim), 0u);
 }
 
-TEST_F(RebuildTest, WritesLandOnRebuildingEngineAndConverge) {
+/// The client call a degraded-write test goes through. Update and a
+/// one-op UpdateBatch share one issue/await core, so every degraded rule
+/// must hold on both.
+enum class WriteCall { kUpdate, kUpdateBatch };
+
+class RebuildWriteTest : public RebuildTest,
+                         public ::testing::WithParamInterface<WriteCall> {
+ protected:
+  Result<Epoch> Write(ContainerId cont, const ObjectId& oid,
+                      const std::string& dkey,
+                      std::span<const std::byte> data) {
+    if (GetParam() == WriteCall::kUpdate) {
+      return client_->Update(cont, oid, dkey, "a", 0, data);
+    }
+    DaosClient::UpdateOp op;
+    op.cont = cont;
+    op.oid = oid;
+    op.dkey = dkey;
+    op.akey = "a";
+    op.data = data;
+    ROS2_ASSIGN_OR_RETURN(std::vector<Epoch> epochs,
+                          client_->UpdateBatch(std::span(&op, 1)));
+    EXPECT_EQ(epochs.size(), 1u);
+    return epochs.at(0);
+  }
+};
+
+TEST_P(RebuildWriteTest, WritesLandOnRebuildingEngineAndConverge) {
   // A write racing the REBUILDING window lands on the replacement AND
   // journals post-completion; the drain loop re-silvers survivor HEAD so
   // the final bytes match regardless of apply order.
@@ -246,10 +273,10 @@ TEST_F(RebuildTest, WritesLandOnRebuildingEngineAndConverge) {
   auto oid = client_->AllocOid(*cont);
   ASSERT_TRUE(oid.ok());
   Buffer v1 = MakePatternBuffer(1024, 1);
-  ASSERT_TRUE(client_->Update(*cont, *oid, "race", "a", 0, v1).ok());
+  ASSERT_TRUE(Write(*cont, *oid, "race", v1).ok());
   ASSERT_TRUE(map_->SetState(kVictim, EngineState::kRebuilding).ok());
   Buffer v2 = MakePatternBuffer(1024, 2);
-  ASSERT_TRUE(client_->Update(*cont, *oid, "race", "a", 0, v2).ok());
+  ASSERT_TRUE(Write(*cont, *oid, "race", v2).ok());
   if (OwesCopy(*oid, "race", kVictim)) {
     EXPECT_GT(map_->journal().depth(kVictim), 0u)
         << "rebuilding-window write must journal post-completion";
@@ -260,7 +287,7 @@ TEST_F(RebuildTest, WritesLandOnRebuildingEngineAndConverge) {
   VerifyAlone(*cont, *oid, kVictim, expected);
 }
 
-TEST_F(RebuildTest, ReplyTimeUnavailableDegradesInsteadOfFailing) {
+TEST_P(RebuildWriteTest, ReplyTimeUnavailableDegradesInsteadOfFailing) {
   // The TOCTOU the pool map closed: the map says UP at issue time, but
   // the copy comes back UNAVAILABLE (here: an armed kRpcDrop on the
   // victim's server). The write must still succeed on the survivors and
@@ -281,7 +308,7 @@ TEST_F(RebuildTest, ReplyTimeUnavailableDegradesInsteadOfFailing) {
   plan.Arm(common::FaultPoint::kRpcDrop, spec);
   engines_[kVictim]->server()->set_fault_plan(&plan);
   Buffer data = MakePatternBuffer(512, 7);
-  ASSERT_TRUE(client_->Update(*cont, *oid, dkey, "a", 0, data).ok())
+  ASSERT_TRUE(Write(*cont, *oid, dkey, data).ok())
       << "reply-time UNAVAILABLE must degrade, not fail";
   EXPECT_EQ(plan.fired(common::FaultPoint::kRpcDrop), 1u);
   EXPECT_EQ(map_->journal().depth(kVictim), 1u);
@@ -296,7 +323,7 @@ TEST_F(RebuildTest, ReplyTimeUnavailableDegradesInsteadOfFailing) {
   VerifyAlone(*cont, *oid, kVictim, expected);
 }
 
-TEST_F(RebuildTest, ZeroLandedCopiesIsAHardFailure) {
+TEST_P(RebuildWriteTest, ZeroLandedCopiesIsAHardFailure) {
   // Degraded mode needs at least one survivor: with every replica
   // unwritable the update fails UNAVAILABLE and the status carries the
   // landed count instead of silently journaling everything.
@@ -309,15 +336,35 @@ TEST_F(RebuildTest, ZeroLandedCopiesIsAHardFailure) {
     ASSERT_TRUE(map_->SetState(e, EngineState::kDown).ok());
   }
   Buffer data(64);
-  const Status st =
-      client_->Update(*cont, *oid, "x", "a", 0, data).status();
+  const Status st = Write(*cont, *oid, "x", data).status();
   EXPECT_EQ(st.code(), ErrorCode::kUnavailable);
   EXPECT_NE(st.message().find("no writable replica"), std::string::npos)
       << st.ToString();
   for (std::uint32_t e = 0; e < kEngines; ++e) {
     ASSERT_TRUE(map_->SetState(e, EngineState::kUp).ok());
   }
+  // A hard (non-UNAVAILABLE) replica error is not degraded away: every
+  // copy to an unknown container fails, and the status says how many
+  // copies landed.
+  const std::uint64_t recorded = map_->journal().recorded();
+  const Status hard = Write(*cont + 1000, *oid, "x", data).status();
+  EXPECT_FALSE(hard.ok());
+  EXPECT_NE(hard.code(), ErrorCode::kUnavailable) << hard.ToString();
+  EXPECT_NE(hard.message().find("0/2 replica copies landed"),
+            std::string::npos)
+      << hard.ToString();
+  EXPECT_EQ(map_->journal().recorded(), recorded)
+      << "a hard error must not journal";
 }
+
+INSTANTIATE_TEST_SUITE_P(WriteCalls, RebuildWriteTest,
+                         ::testing::Values(WriteCall::kUpdate,
+                                           WriteCall::kUpdateBatch),
+                         [](const auto& info) {
+                           return std::string(info.param == WriteCall::kUpdate
+                                                  ? "Update"
+                                                  : "UpdateBatch");
+                         });
 
 }  // namespace
 }  // namespace ros2::daos
