@@ -33,11 +33,9 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "daos/client.h"
-#include "daos/engine.h"
+#include "daos/cluster.h"
 #include "dfs/dfs.h"
 #include "dfs/stream.h"
-#include "net/fabric.h"
-#include "storage/nvme_device.h"
 
 using namespace ros2;
 
@@ -61,30 +59,24 @@ constexpr std::uint64_t kFileBytes = 4 * kChunk;
 /// off (per-chunk blocking RPCs, no lookup cache, no readahead). Fresh
 /// per repetition so extent logs never accumulate across reps.
 struct DfsHarness {
-  net::Fabric fabric;
-  std::unique_ptr<storage::NvmeDevice> device;
-  std::unique_ptr<daos::DaosEngine> engine;
+  std::unique_ptr<daos::Cluster> cluster;
   std::unique_ptr<daos::DaosClient> client;
   std::unique_ptr<dfs::Dfs> batched;
   std::unique_ptr<dfs::Dfs> sequential;
   bool ok = false;
 
   explicit DfsHarness(int rep) {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 512 * kMiB;
-    device = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device.get()};
-    daos::EngineConfig config;
-    config.address = "fabric://dfs-bench-" + std::to_string(rep);
-    config.targets = 8;
-    config.scm_per_target = 16 * kMiB;
+    daos::ClusterSpec spec;
+    spec.engine.address = "fabric://dfs-bench-" + std::to_string(rep);
+    spec.engine.targets = 8;
+    spec.engine.scm_per_target = 16 * kMiB;
     // Checksums off (for BOTH mounts): per-record CRC is byte-
     // proportional compute identical on either path; leaving it on just
     // dilutes the per-RPC fixed cost this bench isolates.
-    config.checksums = false;
-    auto created = daos::DaosEngine::Create(&fabric, config, raw);
-    if (!created.ok()) return;
-    engine = std::move(*created);
+    spec.engine.checksums = false;
+    auto booted = daos::Cluster::Boot(spec);
+    if (!booted.ok()) return;
+    cluster = std::move(*booted);
     // Synchronous pump client: every pump round drains the engine's poll
     // set, paying the real event-channel cost (doorbell write + poll +
     // read, see net::PollSet). A blocking per-chunk call pays one round
@@ -93,9 +85,8 @@ struct DfsHarness {
     // DFS + VOS stack. (A dedicated progress thread would measure
     // context-switch ping-pong instead on small hosts.)
     daos::DaosClient::ConnectOptions options;
-    options.client_address = config.address + "-client";
-    auto connected = daos::DaosClient::Connect(&fabric, engine.get(),
-                                               options);
+    options.client_address = spec.engine.address + "-client";
+    auto connected = cluster->Connect(options);
     if (!connected.ok()) return;
     client = std::move(*connected);
     auto cont = client->ContainerCreate("dfs-bench");

@@ -29,12 +29,12 @@
 #include "common/bytes.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "daos/cluster.h"
 #include "daos/engine.h"
 #include "daos/placement.h"
 #include "net/fabric.h"
 #include "rpc/data_rpc.h"
 #include "rpc/wire.h"
-#include "storage/nvme_device.h"
 
 using namespace ros2;
 
@@ -54,38 +54,35 @@ std::string DkeyForTarget(const daos::ObjectId& oid, std::uint32_t target,
 /// wall clock across all client threads; `ops` is the per-client budget.
 double ThreadedEngineRate(std::uint32_t targets, std::uint64_t ops,
                           int rep, bool* all_ok) {
-  net::Fabric fabric;
-  storage::NvmeDeviceConfig dev_config;
-  dev_config.capacity_bytes = 256 * kMiB;
-  storage::NvmeDevice device(dev_config);
-  storage::NvmeDevice* raw[] = {&device};
-  daos::EngineConfig config;
-  config.address =
+  daos::ClusterSpec spec;
+  spec.engine.address =
       "fabric://mt-bench-" + std::to_string(targets) + "-" +
       std::to_string(rep);
-  config.targets = targets;
-  config.scm_per_target = 16 * kMiB;
-  config.xstream_workers = true;
-  auto engine = daos::DaosEngine::Create(&fabric, config, raw);
-  if (!engine.ok()) {
+  spec.engine.targets = targets;
+  spec.engine.scm_per_target = 16 * kMiB;
+  spec.engine.xstream_workers = true;
+  spec.progress_threads = true;
+  auto cluster = daos::Cluster::Boot(spec);
+  if (!cluster.ok()) {
     *all_ok = false;
     return 0.0;
   }
-  (*engine)->StartProgressThread();
+  net::Fabric& fabric = *(*cluster)->fabric();
+  daos::DaosEngine* engine = (*cluster)->engine(0);
 
   std::vector<std::thread> clients;
   std::vector<char> ok(targets, 1);  // one slot per thread, no sharing
   const auto start = std::chrono::steady_clock::now();
   for (std::uint32_t t = 0; t < targets; ++t) {
     clients.emplace_back([&, t] {
-      auto ep = fabric.CreateEndpoint(config.address + "-client-" +
+      auto ep = fabric.CreateEndpoint(spec.engine.address + "-client-" +
                                       std::to_string(t));
       if (!ep.ok()) {
         ok[t] = 0;
         return;
       }
-      auto qp = (*ep)->Connect((*engine)->endpoint(), net::Transport::kRdma,
-                               (*ep)->AllocPd(), (*engine)->pd());
+      auto qp = (*ep)->Connect(engine->endpoint(), net::Transport::kRdma,
+                               (*ep)->AllocPd(), engine->pd());
       if (!qp.ok()) {
         ok[t] = 0;
         return;
@@ -138,7 +135,7 @@ double ThreadedEngineRate(std::uint32_t targets, std::uint64_t ops,
   }
   for (auto& c : clients) c.join();
   const auto stop = std::chrono::steady_clock::now();
-  (*engine)->StopProgressThread();
+  engine->StopProgressThread();
   for (char c : ok) *all_ok = *all_ok && c;
 
   const double seconds = std::chrono::duration<double>(stop - start).count();

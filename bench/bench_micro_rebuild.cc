@@ -34,12 +34,10 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "daos/client.h"
-#include "daos/engine.h"
+#include "daos/cluster.h"
 #include "daos/placement.h"
 #include "daos/pool_map.h"
 #include "daos/rebuild.h"
-#include "net/fabric.h"
-#include "storage/nvme_device.h"
 
 using namespace ros2;
 
@@ -88,28 +86,17 @@ ROS2_BENCH_EXPERIMENT(micro_rebuild,
   const std::uint64_t read_ops = ctx.quick() ? 600 : 6000;
   const std::uint64_t kill_after = ctx.quick() ? 16 : 64;
 
-  net::Fabric fabric;
-  std::vector<std::unique_ptr<storage::NvmeDevice>> devices;
-  std::vector<std::unique_ptr<daos::DaosEngine>> engines;
-  std::vector<daos::DaosEngine*> raw_engines;
-  for (std::uint32_t e = 0; e < kEngines; ++e) {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 256 * kMiB;
-    devices.push_back(std::make_unique<storage::NvmeDevice>(dev));
-    storage::NvmeDevice* raw[] = {devices.back().get()};
-    daos::EngineConfig config;
-    config.address = "fabric://rebuild-bench-engine-" + std::to_string(e);
-    config.targets = 4;
-    config.scm_per_target = 16 * kMiB;
-    config.xstream_workers = true;
-    auto engine = daos::DaosEngine::Create(&fabric, config, raw);
-    ctx.Check("engine " + std::to_string(e) + " booted", engine.ok());
-    if (!engine.ok()) return;
-    engines.push_back(std::move(*engine));
-    engines.back()->StartProgressThread();
-    raw_engines.push_back(engines.back().get());
-  }
-  daos::PoolMap map(kEngines);
+  daos::ClusterSpec spec;
+  spec.engines = kEngines;
+  spec.engine.address = "fabric://rebuild-bench-engine";
+  spec.engine.targets = 4;
+  spec.engine.scm_per_target = 16 * kMiB;
+  spec.engine.xstream_workers = true;
+  spec.progress_threads = true;
+  auto cluster = daos::Cluster::Boot(spec);
+  ctx.Check("engines booted", cluster.ok());
+  if (!cluster.ok()) return;
+  daos::PoolMap& map = *(*cluster)->pool_map();
 
   // All clients dial in while the pool is healthy (PoolConnect is
   // metadata — it refuses a degraded pool by design). Pumpless: the
@@ -119,9 +106,7 @@ ROS2_BENCH_EXPERIMENT(micro_rebuild,
     daos::DaosClient::ConnectOptions options;
     options.client_address = "fabric://rebuild-bench-" + name;
     options.replicas = kReplicas;
-    options.pool_map = &map;
-    options.progress_pump = false;
-    auto client = daos::DaosClient::Connect(&fabric, raw_engines, options);
+    auto client = (*cluster)->Connect(options);
     ctx.Check("client '" + name + "' connected", client.ok());
     return client.ok() ? std::move(*client) : nullptr;
   };
@@ -215,8 +200,7 @@ ROS2_BENCH_EXPERIMENT(micro_rebuild,
   daos::RebuildManager::Options ropts;
   ropts.address = "fabric://rebuild-bench-mgr";
   ropts.replicas = kReplicas;
-  ropts.progress_pump = false;
-  auto mgr = daos::RebuildManager::Create(&fabric, raw_engines, &map, ropts);
+  auto mgr = (*cluster)->NewRebuildManager(ropts);
   ctx.Check("rebuild manager connected", mgr.ok());
   if (!mgr.ok()) {
     stop.store(true, std::memory_order_release);

@@ -26,6 +26,7 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "telemetry/metrics.h"
 
 using namespace ros2;
@@ -36,29 +37,26 @@ namespace {
 /// (2 ops per iteration), 0.0 on any failure.
 double EngineSeconds(bool telemetry, std::uint64_t iters, int rep,
                      bool* all_ok) {
-  net::Fabric fabric;
-  storage::NvmeDeviceConfig dev_config;
-  dev_config.capacity_bytes = 256 * kMiB;
-  storage::NvmeDevice device(dev_config);
-  storage::NvmeDevice* raw[] = {&device};
-  daos::EngineConfig config;
-  config.address = "fabric://telemetry-bench-" +
-                   std::to_string(int(telemetry)) + "-" + std::to_string(rep);
-  config.targets = 4;
+  daos::ClusterSpec spec;
+  spec.engine.address = "fabric://telemetry-bench-" +
+                        std::to_string(int(telemetry)) + "-" +
+                        std::to_string(rep);
+  spec.engine.targets = 4;
   // Every update lands a new epoch version in SCM; size for the full rep
   // (iters x 1 KiB spread over 4 targets) with headroom.
-  config.scm_per_target = 64 * kMiB;
-  config.xstream_workers = false;  // serial: per-op cost dominates, no
-                                   // thread scheduling noise in the ratio
-  config.telemetry = telemetry;
-  auto engine = daos::DaosEngine::Create(&fabric, config, raw);
-  if (!engine.ok()) {
+  spec.engine.scm_per_target = 64 * kMiB;
+  spec.engine.xstream_workers = false;  // serial: per-op cost dominates,
+                                        // no thread scheduling noise in
+                                        // the ratio
+  spec.engine.telemetry = telemetry;
+  auto cluster = daos::Cluster::Boot(spec);
+  if (!cluster.ok()) {
     *all_ok = false;
     return 0.0;
   }
   daos::DaosClient::ConnectOptions connect;
-  connect.client_address = config.address + "-client";
-  auto client = daos::DaosClient::Connect(&fabric, engine->get(), connect);
+  connect.client_address = spec.engine.address + "-client";
+  auto client = (*cluster)->Connect(connect);
   if (!client.ok()) {
     *all_ok = false;
     return 0.0;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: lint -> configure -> build -> ctest -> sanitizer matrix ->
-# bench smoke (model benches, then the wall-clock benchmark's --smoke).
+# Tier-1 gate: lint -> configure -> build -> ctest -> examples ->
+# sanitizer matrix -> bench smoke (model benches, then the wall-clock
+# benchmark's --smoke).
 # Keep the configure/build/ctest sequence byte-for-byte in sync with the
 # one-liner in README.md; .github/workflows/ci.yml just calls this script.
 #
@@ -99,6 +100,12 @@ if [[ "$RUN_MAIN" == 1 ]]; then
   cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
   cmake --build "$BUILD_DIR" -j "$JOBS"
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+  # Examples: each boots a Ros2Cluster with the default Config (the only
+  # code that does) and returns 1 on any failed step or verify.
+  for example in "$BUILD_DIR"/examples/example_*; do
+    echo "== $example"
+    "$example"
+  done
   # Telemetry smoke: boot a demo engine, drive a workload, and validate the
   # end-to-end wiring (non-zero per-opcode latency histograms, per-target
   # queue-depth gauges) over the kTelemetryQuery RPC. --check exits 1 on

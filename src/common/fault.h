@@ -8,10 +8,10 @@
 // question ("does this arrival fail?"); the disarmed fast path is one
 // relaxed atomic load per point.
 //
-// The net layer's legacy injectors (Qp::InjectSendFaults,
-// Endpoint::InjectRegisterFaults) are thin wrappers that arm the owning
-// object's plan, so every failure mode in the tree now runs through one
-// mechanism and tests/benches can drive them uniformly.
+// The net layer owns a plan per object (Qp::fault_plan() for kNetSend,
+// Endpoint::fault_plan() for kNetRegister); callers arm those directly,
+// so every failure mode in the tree runs through one mechanism and
+// tests/benches drive them uniformly.
 #pragma once
 
 #include <atomic>
@@ -35,8 +35,8 @@ inline constexpr std::size_t kFaultPointCount = 5;
 const char* FaultPointName(FaultPoint point);
 
 /// One armed window at a fault point. Counts are in *arrivals* for skip and
-/// *fires* for count, matching the legacy injectors: InjectRegisterFaults
-/// (skip, count) == Arm(kNetRegister, {skip, count}).
+/// *fires* for count: Arm(kNetRegister, {1, 1}) lets one registration
+/// through, then fails the next.
 struct FaultSpec {
   std::uint64_t skip = 0;   ///< arrivals to pass through unharmed first
   std::uint64_t count = 1;  ///< fires before the point exhausts (0 disarms)

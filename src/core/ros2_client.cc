@@ -1,6 +1,8 @@
 #include "core/ros2_client.h"
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/logging.h"
 #include "rpc/wire.h"
@@ -20,27 +22,21 @@ std::string AutoClientAddress() {
 Ros2Cluster::Ros2Cluster() : Ros2Cluster(Config()) {}
 
 Ros2Cluster::Ros2Cluster(Config config) : config_(std::move(config)) {
-  for (std::uint32_t i = 0; i < config_.num_ssds; ++i) {
-    storage::NvmeDeviceConfig dev;
-    dev.model = "SIM-NVME-" + std::to_string(i);
-    dev.capacity_bytes = config_.ssd_capacity;
-    devices_.push_back(std::make_unique<storage::NvmeDevice>(dev));
+  daos::ClusterSpec spec;
+  spec.ssds_per_engine = config_.num_ssds;
+  spec.engine.pool_label = config_.pool_label;
+  spec.engine.access_token = config_.pool_token;
+  spec.engine.targets = config_.engine_targets;
+  spec.engine.scm_per_target = config_.scm_per_target;
+  auto cluster = daos::Cluster::Boot(std::move(spec));
+  if (!cluster.ok()) {
+    std::fprintf(stderr, "ros2 cluster boot failed: %s\n",
+                 cluster.status().ToString().c_str());
+    std::abort();
   }
-  std::vector<storage::NvmeDevice*> raw;
-  raw.reserve(devices_.size());
-  for (auto& d : devices_) raw.push_back(d.get());
-
-  daos::EngineConfig engine;
-  engine.address = "fabric://daos-server";
-  engine.pool_label = config_.pool_label;
-  engine.access_token = config_.pool_token;
-  engine.targets = config_.engine_targets;
-  engine.scm_per_target = config_.scm_per_target;
-  engine.checksums = config_.checksums;
-  engine_ = std::make_unique<daos::DaosEngine>(&fabric_, engine, raw);
-
+  cluster_ = std::move(*cluster);
   control_ = std::make_unique<Ros2ControlService>(
-      &tenants_, &fabric_, config_.pool_label, config_.container_label);
+      &tenants_, fabric(), config_.pool_label, config_.container_label);
 }
 
 Ros2Cluster::~Ros2Cluster() = default;
@@ -97,8 +93,7 @@ Result<std::unique_ptr<Ros2Client>> Ros2Client::Connect(Ros2Cluster* cluster,
   daos_options.tenant = client->tenant_;
   ROS2_ASSIGN_OR_RETURN(
       client->daos_,
-      daos::DaosClient::Connect(cluster->fabric(), cluster->engine(),
-                                daos_options));
+      cluster->daos_cluster()->Connect(daos_options));
 
   // Open (or create) the POSIX container and mount DFS.
   auto cont = client->daos_->ContainerOpen(container_label);

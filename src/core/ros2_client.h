@@ -24,6 +24,7 @@
 #include "core/gpu.h"
 #include "core/tenant.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "daos/engine.h"
 #include "dfs/dfs.h"
 #include "net/fabric.h"
@@ -32,39 +33,36 @@
 
 namespace ros2::core {
 
-/// Everything on the storage-server side plus the fabric: NVMe devices,
-/// the (unmodified) DAOS engine, tenants, and the control-plane service.
+/// Everything on the storage-server side plus the fabric: a one-engine
+/// daos::Cluster (the unmodified DAOS engine on `num_ssds` sparse NVMe
+/// devices), tenants, and the control-plane service.
 class Ros2Cluster {
  public:
   struct Config {
     std::uint32_t num_ssds = 1;
-    std::uint64_t ssd_capacity = 64ull * 1024 * 1024 * 1024;  // sparse
     std::uint32_t engine_targets = 16;
     std::uint64_t scm_per_target = 64ull * 1024 * 1024;
     std::string pool_label = "pool0";
     std::string pool_token;
     std::string container_label = "posix";
-    bool checksums = true;
   };
 
+  /// Aborts with the boot Status message if the cluster cannot boot.
   Ros2Cluster();  ///< default Config
   explicit Ros2Cluster(Config config);
   ~Ros2Cluster();
 
-  net::Fabric* fabric() { return &fabric_; }
-  daos::DaosEngine* engine() { return engine_.get(); }
+  net::Fabric* fabric() { return cluster_->fabric(); }
+  daos::DaosEngine* engine() { return cluster_->engine(0); }
+  daos::Cluster* daos_cluster() { return cluster_.get(); }
   TenantRegistry* tenants() { return &tenants_; }
   Ros2ControlService* control() { return control_.get(); }
-  storage::NvmeDevice* device(std::uint32_t i) {
-    return i < devices_.size() ? devices_[i].get() : nullptr;
-  }
+  storage::NvmeDevice* device(std::uint32_t i) { return cluster_->device(i); }
   const Config& config() const { return config_; }
 
  private:
   Config config_;
-  net::Fabric fabric_;
-  std::vector<std::unique_ptr<storage::NvmeDevice>> devices_;
-  std::unique_ptr<daos::DaosEngine> engine_;
+  std::unique_ptr<daos::Cluster> cluster_;
   TenantRegistry tenants_;
   std::unique_ptr<Ros2ControlService> control_;
 };

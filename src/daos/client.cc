@@ -48,17 +48,14 @@ Result<std::vector<std::string>> DecodeStringList(const Buffer& raw) {
 // ------------------------------------------------------------- connect
 
 Result<std::unique_ptr<DaosClient>> DaosClient::Connect(
-    net::Fabric* fabric, DaosEngine* engine, const ConnectOptions& options) {
-  DaosEngine* engines[] = {engine};
-  return Connect(fabric, engines, options);
-}
-
-Result<std::unique_ptr<DaosClient>> DaosClient::Connect(
     net::Fabric* fabric, std::span<DaosEngine* const> engines,
-    const ConnectOptions& options) {
-  if (engines.empty()) return Status(InvalidArgument("no engines"));
+    PoolMap* pool_map, bool progress_pump, const ConnectOptions& options) {
   if (options.replicas == 0 || options.replicas > engines.size()) {
     return Status(InvalidArgument("replicas must be in [1, engines]"));
+  }
+  if (pool_map == nullptr || pool_map->engine_count() != engines.size()) {
+    return Status(InvalidArgument(
+        "client needs the pool map, one entry per engine"));
   }
   ROS2_ASSIGN_OR_RETURN(net::Endpoint * client_ep,
                         fabric->CreateEndpoint(options.client_address));
@@ -67,22 +64,9 @@ Result<std::unique_ptr<DaosClient>> DaosClient::Connect(
   auto client = std::unique_ptr<DaosClient>(new DaosClient());
   client->transport_ = options.transport;
   client->replicas_ = options.replicas;
-  if (options.pool_map != nullptr) {
-    if (options.pool_map->engine_count() != engines.size()) {
-      return Status(InvalidArgument(
-          "pool map engine count does not match the engine list"));
-    }
-    client->map_ = options.pool_map;
-  } else {
-    client->owned_map_ =
-        std::make_unique<PoolMap>(std::uint32_t(engines.size()));
-    client->map_ = client->owned_map_.get();
-  }
+  client->map_ = pool_map;
 
   for (DaosEngine* engine : engines) {
-    if (engine == nullptr || engine->endpoint() == nullptr) {
-      return Status(InvalidArgument("engine has no endpoint"));
-    }
     ROS2_ASSIGN_OR_RETURN(
         net::Qp * qp, client_ep->Connect(engine->endpoint(),
                                          options.transport, pd,
@@ -91,16 +75,15 @@ Result<std::unique_ptr<DaosClient>> DaosClient::Connect(
     // The pump is the engine's full progress tick (poll-set drain +
     // xstream run queues), not a per-QP poke: one pump services every
     // client of the engine and completes deferred requests — the fairness
-    // property multi-QP tests pin. Pumpless clients (progress_pump ==
-    // false) rely on the engines' own progress threads instead — the
-    // poll-set drain is single-consumer, so concurrent clients must not
-    // pump it themselves.
+    // property multi-QP tests pin. Pumpless clients rely on the engines'
+    // own progress threads instead — the poll-set drain is single-
+    // consumer, so concurrent clients must not pump it themselves.
     conn.rpc = std::make_unique<rpc::RpcClient>(
         qp, client_ep,
-        options.progress_pump
+        progress_pump
             ? std::function<void()>([engine] { (void)engine->ProgressAll(); })
             : std::function<void()>());
-    if (!options.progress_pump) conn.rpc->set_stall_timeout_ms(10000.0);
+    if (!progress_pump) conn.rpc->set_stall_timeout_ms(10000.0);
     client->engines_.push_back(std::move(conn));
   }
 

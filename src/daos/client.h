@@ -61,27 +61,21 @@ class DaosClient {
     net::TenantId tenant = net::kSystemTenant;
     /// Copies of every update, placed on consecutive engines (1 = none).
     std::uint32_t replicas = 1;
-    /// Shared pool map (control plane / rebuild task / other clients see
-    /// the same engine states and resync journal). Must outlive the
-    /// client and have engine_count == engines. nullptr: the client owns
-    /// a private map.
-    PoolMap* pool_map = nullptr;
-    /// False: the client's RPC connections get no progress hook — every
-    /// engine must run its own progress thread (StartProgressThread).
-    /// Required when several client threads share an engine: the engine
-    /// poll set is single-consumer, so concurrent pumps would race.
-    bool progress_pump = true;
   };
 
-  /// Dials the engine, performs PoolConnect (auth), returns a live client.
-  static Result<std::unique_ptr<DaosClient>> Connect(
-      net::Fabric* fabric, DaosEngine* engine, const ConnectOptions& options);
-
-  /// Scale-out form: one pool spanning several engines (§5 follow-up).
-  /// All engines must share `pool_label` and credentials.
+  /// Dials every engine of one pool (§5 follow-up: the pool may span
+  /// several), performs PoolConnect (auth) on each, returns a live client.
+  /// All engines must share `pool_label` and credentials. `pool_map` is
+  /// the pool's shared map (control plane, rebuild task and other clients
+  /// see the same engine states and resync journal); it must outlive the
+  /// client and have engine_count == engines. `progress_pump` false: the
+  /// RPC connections get no progress hook and every engine must run its
+  /// own progress thread (the engine poll set is single-consumer, so
+  /// concurrent pumps would race). daos::Cluster::Connect fills in
+  /// everything but `options`.
   static Result<std::unique_ptr<DaosClient>> Connect(
       net::Fabric* fabric, std::span<DaosEngine* const> engines,
-      const ConnectOptions& options);
+      PoolMap* pool_map, bool progress_pump, const ConnectOptions& options);
 
   /// Failure injection shorthand over the pool map: down=true marks the
   /// engine DOWN (reads fail over, writes degrade + journal), down=false
@@ -305,9 +299,7 @@ class DaosClient {
   net::Transport transport_ = net::Transport::kRdma;
   std::uint32_t pool_targets_ = 0;
   std::uint32_t replicas_ = 1;
-  /// Shared map (options.pool_map) or owned_map_.get().
   PoolMap* map_ = nullptr;
-  std::unique_ptr<PoolMap> owned_map_;
 };
 
 }  // namespace ros2::daos

@@ -1,7 +1,6 @@
 #include "daos/engine.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/logging.h"
 #include "daos/placement.h"
@@ -60,17 +59,16 @@ Result<std::unique_ptr<DaosEngine>> DaosEngine::Create(
   if (devices.empty()) {
     return Status(InvalidArgument("engine needs at least one NVMe device"));
   }
-  if (fabric->Lookup(config.address).ok()) {
-    return Status(AlreadyExists("engine address in use: " + config.address));
-  }
+  ROS2_ASSIGN_OR_RETURN(net::Endpoint * endpoint,
+                        fabric->CreateEndpoint(config.address));
   return std::unique_ptr<DaosEngine>(
-      new DaosEngine(fabric, std::move(config), devices));
+      new DaosEngine(endpoint, std::move(config), devices));
 }
 
-DaosEngine::DaosEngine(net::Fabric* fabric, EngineConfig config,
+DaosEngine::DaosEngine(net::Endpoint* endpoint, EngineConfig config,
                        std::span<storage::NvmeDevice* const> devices)
-    : fabric_(fabric),
-      config_(std::move(config)),
+    : config_(std::move(config)),
+      endpoint_(endpoint),
       scheduler_(config_.targets,
                  EngineSchedulerOptions{config_.xstream_workers,
                                         config_.xstream_queue_depth,
@@ -78,12 +76,6 @@ DaosEngine::DaosEngine(net::Fabric* fabric, EngineConfig config,
       telemetry_(/*default_shards=*/config_.targets + 1),
       updates_(config_.targets),
       fetches_(config_.targets) {
-  assert(config_.targets != 0 &&
-         "EngineConfig::targets must be >= 1 (DaosEngine::Create validates)");
-  assert(!devices.empty() && "engine needs at least one NVMe device");
-  auto ep = fabric_->CreateEndpoint(config_.address);
-  assert(ep.ok() && "engine endpoint address collision");
-  endpoint_ = ep.value();
   pd_ = endpoint_->AllocPd();
   // Every QP this endpoint accepts reports into the engine's poll set, so
   // one ProgressAll tick services all connections without per-QP scans.

@@ -121,18 +121,15 @@ struct EngineStats {
 
 class DaosEngine {
  public:
-  /// Validating factory: rejects a zero-target config (every engine needs
-  /// at least one xstream; the constructor would otherwise have to guess)
-  /// and an empty device span with INVALID_ARGUMENT.
+  /// The only way to build an engine (daos::Cluster boots through it).
+  /// `devices` are the server's NVMe SSDs; targets partition them
+  /// round-robin (target i -> device i % devices.size()). Rejects a
+  /// zero-target config and an empty device span with INVALID_ARGUMENT,
+  /// and an address already on the fabric with ALREADY_EXISTS.
   static Result<std::unique_ptr<DaosEngine>> Create(
       net::Fabric* fabric, EngineConfig config,
       std::span<storage::NvmeDevice* const> devices);
 
-  /// `devices` are the server's NVMe SSDs; targets partition them
-  /// round-robin (target i -> device i % devices.size()).
-  /// Requires config.targets >= 1 (asserted; use Create for a Status).
-  DaosEngine(net::Fabric* fabric, EngineConfig config,
-             std::span<storage::NvmeDevice* const> devices);
   ~DaosEngine();
 
   net::Endpoint* endpoint() const { return endpoint_; }
@@ -210,6 +207,11 @@ class DaosEngine {
     std::uint64_t next_oid = 1;
   };
 
+  /// Only Create calls it, with the config validated and `endpoint`
+  /// claimed at config.address.
+  DaosEngine(net::Endpoint* endpoint, EngineConfig config,
+             std::span<storage::NvmeDevice* const> devices);
+
   struct ObjAddr;  // common cont/oid/dkey/akey wire prefix (engine.cc)
   static Status DecodeObjAddr(rpc::Decoder& dec, ObjAddr* out);
 
@@ -282,7 +284,6 @@ class DaosEngine {
   /// the workers and send their replies.
   void DrainBarrier();
 
-  net::Fabric* fabric_;
   EngineConfig config_;
   net::Endpoint* endpoint_ = nullptr;
   net::PdId pd_ = 0;

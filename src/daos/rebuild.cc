@@ -19,14 +19,10 @@ void EncodeDkeyAddr(rpc::Encoder& enc, const ResyncEntry& entry) {
 
 Result<std::unique_ptr<RebuildManager>> RebuildManager::Create(
     net::Fabric* fabric, std::span<DaosEngine* const> engines,
-    PoolMap* pool_map, const Options& options) {
-  if (engines.empty()) return Status(InvalidArgument("no engines"));
-  if (pool_map == nullptr) {
-    return Status(InvalidArgument("rebuild needs the shared pool map"));
-  }
-  if (pool_map->engine_count() != engines.size()) {
+    PoolMap* pool_map, bool progress_pump, const Options& options) {
+  if (pool_map == nullptr || pool_map->engine_count() != engines.size()) {
     return Status(InvalidArgument(
-        "pool map engine count does not match the engine list"));
+        "rebuild needs the pool map, one entry per engine"));
   }
   if (options.replicas == 0 || options.replicas > engines.size()) {
     return Status(InvalidArgument("replicas must be in [1, engines]"));
@@ -40,20 +36,15 @@ Result<std::unique_ptr<RebuildManager>> RebuildManager::Create(
   mgr->replicas_ = options.replicas;
   mgr->max_journal_passes_ = options.max_journal_passes;
   for (DaosEngine* engine : engines) {
-    if (engine == nullptr || engine->endpoint() == nullptr) {
-      return Status(InvalidArgument("engine has no endpoint"));
-    }
     ROS2_ASSIGN_OR_RETURN(
         net::Qp * qp, ep->Connect(engine->endpoint(), options.transport, pd,
                                   engine->pd()));
     mgr->rpcs_.push_back(std::make_unique<rpc::RpcClient>(
         qp, ep,
-        options.progress_pump
+        progress_pump
             ? std::function<void()>([engine] { (void)engine->ProgressAll(); })
             : std::function<void()>()));
-    if (!options.progress_pump) {
-      mgr->rpcs_.back()->set_stall_timeout_ms(10000.0);
-    }
+    if (!progress_pump) mgr->rpcs_.back()->set_stall_timeout_ms(10000.0);
     mgr->stats_.push_back(std::make_unique<PerEngine>());
   }
   // Auth handshake against every engine's pool service, like any client.

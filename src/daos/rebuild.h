@@ -70,19 +70,16 @@ class RebuildManager {
     /// Journal-drain passes before giving up (a pass that finds the
     /// journal empty ends the loop early).
     std::uint32_t max_journal_passes = 64;
-    /// False: no progress hooks on the manager's RPC connections — the
-    /// engines' progress threads serve them (required when the manager
-    /// runs concurrently with pumping clients; the engine poll set is
-    /// single-consumer).
-    bool progress_pump = true;
   };
 
   /// Dials every engine (PoolConnect handshake included). `pool_map` is
   /// the shared health authority; must outlive the manager and have
-  /// engine_count == engines.size().
+  /// engine_count == engines.size(). `progress_pump` as in
+  /// DaosClient::Connect. daos::Cluster::NewRebuildManager fills in
+  /// everything but `options`.
   static Result<std::unique_ptr<RebuildManager>> Create(
       net::Fabric* fabric, std::span<DaosEngine* const> engines,
-      PoolMap* pool_map, const Options& options);
+      PoolMap* pool_map, bool progress_pump, const Options& options);
 
   RebuildManager(const RebuildManager&) = delete;
   RebuildManager& operator=(const RebuildManager&) = delete;

@@ -252,21 +252,10 @@ class Endpoint {
     accept_poll_set_ = set;
   }
 
-  /// Fault injection: after `skip` more successful registrations, the
-  /// next `count` RegisterMemory calls fail with RESOURCE_EXHAUSTED (MR
-  /// table full — a real verbs failure mode). Drives the
-  /// registration-failed cleanup paths in tests. Arms the endpoint's
-  /// FaultPlan at kNetRegister; richer windows go through fault_plan().
-  void InjectRegisterFaults(int skip, int count) {
-    if (count <= 0) {
-      fault_plan_.Disarm(common::FaultPoint::kNetRegister);
-      return;
-    }
-    fault_plan_.Arm(common::FaultPoint::kNetRegister,
-                    {std::uint64_t(skip < 0 ? 0 : skip),
-                     std::uint64_t(count), 1.0, 0});
-  }
-  /// The endpoint's fault plan (kNetRegister consulted per registration).
+  /// The endpoint's fault plan, consulted per registration: an armed
+  /// kNetRegister window fails RegisterMemory with RESOURCE_EXHAUSTED (MR
+  /// table full — a real verbs failure mode), driving the
+  /// registration-failed cleanup paths in tests.
   common::FaultPlan& fault_plan() { return fault_plan_; }
 
  private:
@@ -339,20 +328,10 @@ class Qp {
     return bytes_one_sided_.load(std::memory_order_relaxed);
   }
 
-  /// Fault injection: the next `count` Send() calls fail with UNAVAILABLE
-  /// (a flapping link / blown send queue). Lets tests drive the
-  /// send-failed cleanup paths that are unreachable on a healthy fabric.
-  /// Arms this Qp's FaultPlan at kNetSend; richer windows (skip,
-  /// probability) go through fault_plan() directly.
-  void InjectSendFaults(int count) {
-    if (count <= 0) {
-      fault_plan_.Disarm(common::FaultPoint::kNetSend);
-      return;
-    }
-    fault_plan_.Arm(common::FaultPoint::kNetSend,
-                    {0, std::uint64_t(count), 1.0, 0});
-  }
-  /// The Qp's fault plan (kNetSend consulted on every Send).
+  /// The Qp's fault plan, consulted on every Send: an armed kNetSend
+  /// window fails Send() with UNAVAILABLE (a flapping link / blown send
+  /// queue), driving the send-failed cleanup paths that are unreachable
+  /// on a healthy fabric.
   common::FaultPlan& fault_plan() { return fault_plan_; }
 
   ~Qp();

@@ -46,6 +46,7 @@
 #include "common/table.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "daos/rebuild.h"
 #include "dfs/dfs.h"
 #include "telemetry/snapshot.h"
@@ -165,10 +166,7 @@ std::string Cat(const char* prefix, const std::string& suffix) {
 /// kTelemetryQuery dump shows data-path, health, and rebuild state
 /// together.
 struct Demo {
-  net::Fabric fabric;
-  std::vector<std::unique_ptr<storage::NvmeDevice>> devices;
-  std::vector<std::unique_ptr<daos::DaosEngine>> engines;
-  std::unique_ptr<daos::PoolMap> pool_map;
+  std::unique_ptr<daos::Cluster> cluster;
   std::unique_ptr<daos::DaosClient> client;
   std::unique_ptr<daos::RebuildManager> rebuild;
   std::unique_ptr<dfs::Dfs> dfs;
@@ -181,34 +179,20 @@ struct Demo {
 
   static Result<std::unique_ptr<Demo>> Boot(const CliOptions& options) {
     auto demo = std::make_unique<Demo>();
-    demo->pool_map = std::make_unique<daos::PoolMap>(options.engines);
-    std::vector<daos::DaosEngine*> raw_engines;
-    for (std::uint32_t e = 0; e < options.engines; ++e) {
-      storage::NvmeDeviceConfig dev;
-      dev.capacity_bytes = 256 * kMiB;
-      demo->devices.push_back(std::make_unique<storage::NvmeDevice>(dev));
-      storage::NvmeDevice* raw[] = {demo->devices.back().get()};
-      daos::EngineConfig config;
-      config.address =
-          Cat("fabric://telemetryctl-engine-", std::to_string(e));
-      config.targets = options.targets;
-      config.scm_per_target = 16 * kMiB;
-      config.xstream_workers = !options.serial;
-      config.telemetry = options.telemetry;
-      ROS2_ASSIGN_OR_RETURN(auto engine,
-                            daos::DaosEngine::Create(&demo->fabric, config,
-                                                     raw));
-      demo->engines.push_back(std::move(engine));
-      raw_engines.push_back(demo->engines.back().get());
-    }
-    demo->pool_map->AttachTelemetry(demo->engines[0]->mutable_telemetry());
+    daos::ClusterSpec spec;
+    spec.engines = options.engines;
+    spec.engine.address = "fabric://telemetryctl-engine";
+    spec.engine.targets = options.targets;
+    spec.engine.scm_per_target = 16 * kMiB;
+    spec.engine.xstream_workers = !options.serial;
+    spec.engine.telemetry = options.telemetry;
+    ROS2_ASSIGN_OR_RETURN(demo->cluster, daos::Cluster::Boot(spec));
+    telemetry::Telemetry* tree = demo->cluster->engine(0)->mutable_telemetry();
+    demo->cluster->pool_map()->AttachTelemetry(tree);
     daos::DaosClient::ConnectOptions connect;
     connect.client_address = "fabric://telemetryctl-client";
     connect.replicas = options.replicas;
-    connect.pool_map = demo->pool_map.get();
-    ROS2_ASSIGN_OR_RETURN(
-        demo->client,
-        daos::DaosClient::Connect(&demo->fabric, raw_engines, connect));
+    ROS2_ASSIGN_OR_RETURN(demo->client, demo->cluster->Connect(connect));
     ROS2_ASSIGN_OR_RETURN(demo->cont,
                           demo->client->ContainerCreate("telemetryctl"));
     ROS2_ASSIGN_OR_RETURN(demo->oid, demo->client->AllocOid(demo->cont));
@@ -223,16 +207,14 @@ struct Demo {
         demo->dfs,
         dfs::Dfs::Mount(demo->client.get(), dfs_cont, /*create=*/true,
                         dfs_config));
-    demo->dfs->AttachTelemetry(demo->engines[0]->mutable_telemetry());
+    demo->dfs->AttachTelemetry(tree);
     if (options.rebuild) {
       daos::RebuildManager::Options ropt;
       ropt.address = "fabric://telemetryctl-rebuild";
       ropt.replicas = options.replicas;
-      ROS2_ASSIGN_OR_RETURN(
-          demo->rebuild,
-          daos::RebuildManager::Create(&demo->fabric, raw_engines,
-                                       demo->pool_map.get(), ropt));
-      demo->rebuild->AttachTelemetry(demo->engines[0]->mutable_telemetry());
+      ROS2_ASSIGN_OR_RETURN(demo->rebuild,
+                            demo->cluster->NewRebuildManager(ropt));
+      demo->rebuild->AttachTelemetry(tree);
     }
     return demo;
   }
@@ -316,7 +298,7 @@ struct Demo {
   Status RunRebuildScenario(const CliOptions& options) {
     ROS2_RETURN_IF_ERROR(RunWorkload(options.ops));
     ROS2_RETURN_IF_ERROR(
-        pool_map->SetState(kVictim, daos::EngineState::kDown));
+        cluster->pool_map()->SetState(kVictim, daos::EngineState::kDown));
     ROS2_RETURN_IF_ERROR(RunWorkload(options.ops));
     ROS2_RETURN_IF_ERROR(rebuild->Rebuild(kVictim));
     ROS2_RETURN_IF_ERROR(rebuild->Resync(kVictim));
@@ -464,9 +446,10 @@ int RunDump(const CliOptions& options) {
   if (options.post_mortem) {
     // The progress thread publishes a final snapshot on its way out; a
     // dump after Stop() reads that, not a live query.
-    (*demo)->engines[0]->StartProgressThread();
-    (*demo)->engines[0]->StopProgressThread();
-    auto published = (*demo)->engines[0]->published_snapshot();
+    daos::DaosEngine* engine = (*demo)->cluster->engine(0);
+    engine->StartProgressThread();
+    engine->StopProgressThread();
+    auto published = engine->published_snapshot();
     if (!published.ok()) {
       std::fprintf(stderr, "no published snapshot: %s\n",
                    published.status().ToString().c_str());

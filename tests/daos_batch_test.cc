@@ -12,6 +12,7 @@
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "daos/placement.h"
 
 namespace ros2::daos {
@@ -22,20 +23,14 @@ class DaosBatchTest : public ::testing::TestWithParam<net::Transport> {
   static constexpr int kEngines = 3;
 
   void SetUp() override {
-    for (int e = 0; e < kEngines; ++e) {
-      storage::NvmeDeviceConfig dev;
-      dev.capacity_bytes = 256 * kMiB;
-      devices_.push_back(std::make_unique<storage::NvmeDevice>(dev));
-      storage::NvmeDevice* raw[] = {devices_.back().get()};
-      EngineConfig config;
-      config.address = "fabric://batch-engine-" + std::to_string(e);
-      config.targets = 4;
-      config.scm_per_target = 16 * kMiB;
-      auto engine = DaosEngine::Create(&fabric_, config, raw);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      engines_.push_back(std::move(*engine));
-    }
-    for (auto& engine : engines_) raw_engines_.push_back(engine.get());
+    ClusterSpec spec;
+    spec.engines = kEngines;
+    spec.engine.address = "fabric://batch-engine";
+    spec.engine.targets = 4;
+    spec.engine.scm_per_target = 16 * kMiB;
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
   }
 
   Result<std::unique_ptr<DaosClient>> Connect(std::uint32_t replicas) {
@@ -43,19 +38,18 @@ class DaosBatchTest : public ::testing::TestWithParam<net::Transport> {
     options.transport = GetParam();
     options.client_address = "fabric://batch-client";
     options.replicas = replicas;
-    return DaosClient::Connect(&fabric_, raw_engines_, options);
+    return cluster_->Connect(options);
   }
 
   std::uint64_t TotalUpdates() const {
     std::uint64_t n = 0;
-    for (const auto& engine : engines_) n += engine->stats().updates;
+    for (const auto& engine : cluster_->engines()) {
+      n += engine->stats().updates;
+    }
     return n;
   }
 
-  net::Fabric fabric_;
-  std::vector<std::unique_ptr<storage::NvmeDevice>> devices_;
-  std::vector<std::unique_ptr<DaosEngine>> engines_;
-  std::vector<DaosEngine*> raw_engines_;
+  std::unique_ptr<Cluster> cluster_;
 };
 
 TEST_P(DaosBatchTest, BatchRoundTripAcrossEnginesAndTargets) {

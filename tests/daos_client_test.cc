@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/units.h"
+#include "daos/cluster.h"
 
 namespace ros2::daos {
 namespace {
@@ -13,21 +14,19 @@ namespace {
 class DaosClientTest : public ::testing::TestWithParam<net::Transport> {
  protected:
   void SetUp() override {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 512 * kMiB;
-    device_ = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device_.get()};
-
-    EngineConfig config;
-    config.targets = 8;
-    config.scm_per_target = 8 * kMiB;
-    config.access_token = "secret";
-    engine_ = std::make_unique<DaosEngine>(&fabric_, config, raw);
+    ClusterSpec spec;
+    spec.engine.access_token = "secret";
+    spec.engine.targets = 8;
+    spec.engine.scm_per_target = 8 * kMiB;
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    engine_ = cluster_->engine(0);
 
     DaosClient::ConnectOptions options;
     options.transport = GetParam();
     options.access_token = "secret";
-    auto client = DaosClient::Connect(&fabric_, engine_.get(), options);
+    auto client = cluster_->Connect(options);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     client_ = std::move(*client);
     auto cont = client_->ContainerCreate("c0");
@@ -35,9 +34,8 @@ class DaosClientTest : public ::testing::TestWithParam<net::Transport> {
     cont_ = *cont;
   }
 
-  net::Fabric fabric_;
-  std::unique_ptr<storage::NvmeDevice> device_;
-  std::unique_ptr<DaosEngine> engine_;
+  std::unique_ptr<Cluster> cluster_;
+  DaosEngine* engine_ = nullptr;
   std::unique_ptr<DaosClient> client_;
   ContainerId cont_ = 0;
 };
@@ -47,9 +45,8 @@ TEST_P(DaosClientTest, PoolAuthRejectsBadToken) {
   options.transport = GetParam();
   options.client_address = "fabric://bad-client";
   options.access_token = "wrong";
-  EXPECT_EQ(
-      DaosClient::Connect(&fabric_, engine_.get(), options).status().code(),
-      ErrorCode::kPermissionDenied);
+  EXPECT_EQ(cluster_->Connect(options).status().code(),
+            ErrorCode::kPermissionDenied);
 }
 
 TEST_P(DaosClientTest, PoolConnectReportsTargets) {

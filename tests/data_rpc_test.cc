@@ -232,7 +232,8 @@ TEST_P(DataRpcTest, NoMrLeakWhenRecvRegistrationFails) {
   // Unpooled (the seed's per-call mode): the send MR is registered, then
   // the recv registration fails — the seed leaked the send MR here.
   client_->set_mr_pooling(false);
-  client_ep_->InjectRegisterFaults(/*skip=*/1, /*count=*/1);
+  client_ep_->fault_plan().Arm(common::FaultPoint::kNetRegister,
+                               {/*skip=*/1, /*count=*/1});
   EXPECT_EQ(client_->Call(9, kNoHeader, options).status().code(),
             ErrorCode::kResourceExhausted);
   EXPECT_EQ(client_ep_->mr_count(), before) << "send MR leaked";
@@ -240,7 +241,8 @@ TEST_P(DataRpcTest, NoMrLeakWhenRecvRegistrationFails) {
   // Pooled: same forced failure; the send registration stays CACHED (not
   // leaked), no lease stays outstanding, and Clear() reclaims everything.
   client_->set_mr_pooling(true);
-  client_ep_->InjectRegisterFaults(/*skip=*/1, /*count=*/1);
+  client_ep_->fault_plan().Arm(common::FaultPoint::kNetRegister,
+                               {/*skip=*/1, /*count=*/1});
   EXPECT_EQ(client_->Call(9, kNoHeader, options).status().code(),
             ErrorCode::kResourceExhausted);
   EXPECT_EQ(client_ep_->mr_cache().leased(), 0u);
@@ -260,7 +262,8 @@ TEST_P(DataRpcTest, NoMrLeakWhenSendFails) {
   const auto before = client_ep_->mr_count();
 
   client_->set_mr_pooling(false);
-  qp_->InjectSendFaults(1);
+  qp_->fault_plan().Arm(common::FaultPoint::kNetSend,
+                        {/*skip=*/0, /*count=*/1});
   EXPECT_EQ(client_->Call(9, kNoHeader, options).status().code(),
             ErrorCode::kUnavailable);
   EXPECT_EQ(client_ep_->mr_count(), before)
@@ -268,7 +271,8 @@ TEST_P(DataRpcTest, NoMrLeakWhenSendFails) {
   EXPECT_EQ(client_ep_->mr_cache().leased(), 0u);
 
   client_->set_mr_pooling(true);
-  qp_->InjectSendFaults(1);
+  qp_->fault_plan().Arm(common::FaultPoint::kNetSend,
+                        {/*skip=*/0, /*count=*/1});
   EXPECT_EQ(client_->Call(9, kNoHeader, options).status().code(),
             ErrorCode::kUnavailable);
   EXPECT_EQ(client_ep_->mr_cache().leased(), 0u);

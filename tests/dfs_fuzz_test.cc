@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "dfs/dfs.h"
 
 namespace ros2::dfs {
@@ -25,18 +26,16 @@ using ReferenceFs = std::map<std::string, Buffer>;
 class DfsFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   void SetUp() override {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 1024 * kMiB;
-    device_ = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device_.get()};
-    daos::EngineConfig config;
-    config.targets = 8;
-    config.scm_per_target = 32 * kMiB;
-    engine_ = std::make_unique<daos::DaosEngine>(&fabric_, config, raw);
+    daos::ClusterSpec spec;
+    spec.engine.targets = 8;
+    spec.engine.scm_per_target = 32 * kMiB;
+    auto cluster = daos::Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
     daos::DaosClient::ConnectOptions options;
     options.transport = GetParam() % 2 == 0 ? net::Transport::kRdma
                                             : net::Transport::kTcp;
-    auto client = daos::DaosClient::Connect(&fabric_, engine_.get(), options);
+    auto client = cluster_->Connect(options);
     ASSERT_TRUE(client.ok());
     client_ = std::move(*client);
     auto cont = client_->ContainerCreate("fuzz");
@@ -55,9 +54,7 @@ class DfsFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
            std::to_string(rng.Below(6));
   }
 
-  net::Fabric fabric_;
-  std::unique_ptr<storage::NvmeDevice> device_;
-  std::unique_ptr<daos::DaosEngine> engine_;
+  std::unique_ptr<daos::Cluster> cluster_;
   std::unique_ptr<daos::DaosClient> client_;
   std::unique_ptr<Dfs> dfs_;
 };

@@ -20,6 +20,7 @@
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "dfs/dfs.h"
 
 namespace ros2::dfs {
@@ -31,19 +32,15 @@ constexpr int kThreads = 4;
 class DfsMtTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 512 * kMiB;
-    device_ = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device_.get()};
-    daos::EngineConfig config;
-    config.address = "fabric://dfs-mt-engine";
-    config.targets = 8;
-    config.scm_per_target = 16 * kMiB;
-    config.xstream_workers = true;
-    auto engine = daos::DaosEngine::Create(&fabric_, config, raw);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    engine_ = std::move(*engine);
-    engine_->StartProgressThread();
+    daos::ClusterSpec spec;
+    spec.engine.address = "fabric://dfs-mt-engine";
+    spec.engine.targets = 8;
+    spec.engine.scm_per_target = 16 * kMiB;
+    spec.engine.xstream_workers = true;
+    spec.progress_threads = true;
+    auto cluster = daos::Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
 
     auto setup = NewClient("setup");
     ASSERT_NE(setup, nullptr);
@@ -62,8 +59,7 @@ class DfsMtTest : public ::testing::Test {
   std::unique_ptr<daos::DaosClient> NewClient(const std::string& name) {
     daos::DaosClient::ConnectOptions options;
     options.client_address = "fabric://dfs-mt-" + name;
-    options.progress_pump = false;
-    auto client = daos::DaosClient::Connect(&fabric_, engine_.get(), options);
+    auto client = cluster_->Connect(options);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return client.ok() ? std::move(*client) : nullptr;
   }
@@ -81,9 +77,7 @@ class DfsMtTest : public ::testing::Test {
     return std::uint64_t(thread) * 100 + std::uint64_t(file) + 1;
   }
 
-  net::Fabric fabric_;
-  std::unique_ptr<storage::NvmeDevice> device_;
-  std::unique_ptr<daos::DaosEngine> engine_;
+  std::unique_ptr<daos::Cluster> cluster_;
   daos::ContainerId cont_;
 };
 

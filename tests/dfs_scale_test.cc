@@ -13,6 +13,7 @@
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "dfs/dfs.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
@@ -28,16 +29,13 @@ constexpr std::uint64_t kChunk = 4 * kKiB;
 class DfsScaleTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 512 * kMiB;
-    device_ = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device_.get()};
-    daos::EngineConfig config;
-    config.targets = 8;
-    config.scm_per_target = 16 * kMiB;
-    engine_ = std::make_unique<daos::DaosEngine>(&fabric_, config, raw);
-    auto client = daos::DaosClient::Connect(&fabric_, engine_.get(),
-                                            daos::DaosClient::ConnectOptions{});
+    daos::ClusterSpec spec;
+    spec.engine.targets = 8;
+    spec.engine.scm_per_target = 16 * kMiB;
+    auto cluster = daos::Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    auto client = cluster_->Connect({});
     ASSERT_TRUE(client.ok());
     client_ = std::move(*client);
     auto cont = client_->ContainerCreate("scale");
@@ -52,9 +50,7 @@ class DfsScaleTest : public ::testing::Test {
     return dfs.ok() ? std::move(*dfs) : nullptr;
   }
 
-  net::Fabric fabric_;
-  std::unique_ptr<storage::NvmeDevice> device_;
-  std::unique_ptr<daos::DaosEngine> engine_;
+  std::unique_ptr<daos::Cluster> cluster_;
   std::unique_ptr<daos::DaosClient> client_;
   daos::ContainerId cont_;
 };

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 
 namespace ros2::dfs {
 namespace {
@@ -15,15 +16,14 @@ namespace {
 class DfsStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 512 * kMiB;
-    device_ = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device_.get()};
-    daos::EngineConfig config;
-    config.targets = 8;
-    config.scm_per_target = 32 * kMiB;
-    engine_ = std::make_unique<daos::DaosEngine>(&fabric_, config, raw);
-    auto client = daos::DaosClient::Connect(&fabric_, engine_.get(), {});
+    daos::ClusterSpec spec;
+    spec.engine.targets = 8;
+    spec.engine.scm_per_target = 32 * kMiB;
+    auto cluster = daos::Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    engine_ = cluster_->engine(0);
+    auto client = cluster_->Connect({});
     ASSERT_TRUE(client.ok());
     client_ = std::move(*client);
     auto cont = client_->ContainerCreate("c");
@@ -42,9 +42,8 @@ class DfsStreamTest : public ::testing::Test {
     return fd.value_or(0);
   }
 
-  net::Fabric fabric_;
-  std::unique_ptr<storage::NvmeDevice> device_;
-  std::unique_ptr<daos::DaosEngine> engine_;
+  std::unique_ptr<daos::Cluster> cluster_;
+  daos::DaosEngine* engine_ = nullptr;
   std::unique_ptr<daos::DaosClient> client_;
   std::unique_ptr<Dfs> dfs_;
 };

@@ -7,6 +7,7 @@
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 
 namespace ros2::dfs {
 namespace {
@@ -14,17 +15,15 @@ namespace {
 class DfsTest : public ::testing::TestWithParam<net::Transport> {
  protected:
   void SetUp() override {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 512 * kMiB;
-    device_ = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device_.get()};
-    daos::EngineConfig config;
-    config.targets = 8;
-    config.scm_per_target = 16 * kMiB;
-    engine_ = std::make_unique<daos::DaosEngine>(&fabric_, config, raw);
+    daos::ClusterSpec spec;
+    spec.engine.targets = 8;
+    spec.engine.scm_per_target = 16 * kMiB;
+    auto cluster = daos::Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
     daos::DaosClient::ConnectOptions options;
     options.transport = GetParam();
-    auto client = daos::DaosClient::Connect(&fabric_, engine_.get(), options);
+    auto client = cluster_->Connect(options);
     ASSERT_TRUE(client.ok());
     client_ = std::move(*client);
     auto cont = client_->ContainerCreate("posix");
@@ -34,9 +33,7 @@ class DfsTest : public ::testing::TestWithParam<net::Transport> {
     dfs_ = std::move(*dfs);
   }
 
-  net::Fabric fabric_;
-  std::unique_ptr<storage::NvmeDevice> device_;
-  std::unique_ptr<daos::DaosEngine> engine_;
+  std::unique_ptr<daos::Cluster> cluster_;
   std::unique_ptr<daos::DaosClient> client_;
   std::unique_ptr<Dfs> dfs_;
 };

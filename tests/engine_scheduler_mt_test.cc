@@ -15,6 +15,7 @@
 
 #include "common/bytes.h"
 #include "common/units.h"
+#include "daos/cluster.h"
 #include "daos/engine.h"
 #include "daos/scheduler.h"
 #include "daos/xstream.h"
@@ -204,29 +205,26 @@ TEST_F(SchedulerMtTest, ShutdownExecutesQueuedOpsAndSendsReplies) {
 class ThreadedEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 256 * kMiB;
-    device_ = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device_.get()};
-    EngineConfig config;
-    config.address = "fabric://mt-engine";
-    config.targets = 4;
-    config.scm_per_target = 16 * kMiB;
-    config.xstream_workers = true;
-    auto engine = DaosEngine::Create(&fabric_, config, raw);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    engine_ = std::move(*engine);
+    ClusterSpec spec;
+    spec.engine.address = "fabric://mt-engine";
+    spec.engine.targets = 4;
+    spec.engine.scm_per_target = 16 * kMiB;
+    spec.engine.xstream_workers = true;
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    engine_ = cluster_->engine(0);
     ASSERT_TRUE(engine_->scheduler().threaded());
   }
 
   std::unique_ptr<rpc::RpcClient> NewClient(int index, bool pump) {
-    auto ep = fabric_.CreateEndpoint("fabric://mt-client-" +
-                                     std::to_string(index));
+    auto ep = cluster_->fabric()->CreateEndpoint("fabric://mt-client-" +
+                                                 std::to_string(index));
     EXPECT_TRUE(ep.ok());
     auto qp = (*ep)->Connect(engine_->endpoint(), net::Transport::kRdma,
                              (*ep)->AllocPd(), engine_->pd());
     EXPECT_TRUE(qp.ok());
-    DaosEngine* engine = engine_.get();
+    DaosEngine* engine = engine_;
     auto client = std::make_unique<rpc::RpcClient>(
         *qp, *ep,
         pump ? std::function<void()>([engine] { (void)engine->ProgressAll(); })
@@ -258,9 +256,8 @@ class ThreadedEngineTest : public ::testing::Test {
     return enc;
   }
 
-  net::Fabric fabric_;
-  std::unique_ptr<storage::NvmeDevice> device_;
-  std::unique_ptr<DaosEngine> engine_;
+  std::unique_ptr<Cluster> cluster_;
+  DaosEngine* engine_ = nullptr;
 };
 
 TEST_F(ThreadedEngineTest, SameDkeyFifoHoldsWithRealWorkers) {

@@ -10,6 +10,7 @@
 
 #include "common/bytes.h"
 #include "common/units.h"
+#include "daos/cluster.h"
 #include "daos/engine.h"
 #include "daos/placement.h"
 #include "daos/scheduler.h"
@@ -136,29 +137,27 @@ TEST_F(SchedulerTest, FailingOpCompletesContextWithError) {
 class EnginePipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 256 * kMiB;
-    device_ = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {device_.get()};
-    EngineConfig config;
-    config.address = "fabric://pipeline-engine";
-    config.targets = 4;
-    config.scm_per_target = 16 * kMiB;
-    auto engine = DaosEngine::Create(&fabric_, config, raw);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    engine_ = std::move(*engine);
+    ClusterSpec spec;
+    spec.engine.address = "fabric://pipeline-engine";
+    spec.engine.targets = 4;
+    spec.engine.scm_per_target = 16 * kMiB;
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    fabric_ = cluster_->fabric();
+    engine_ = cluster_->engine(0);
   }
 
   /// A raw data-plane client on its own QP, pumping the ENGINE's progress
   /// tick (not a per-QP poke).
   std::unique_ptr<rpc::RpcClient> NewClient(int index) {
-    auto ep = fabric_.CreateEndpoint("fabric://pipeline-client-" +
-                                     std::to_string(index));
+    auto ep = fabric_->CreateEndpoint("fabric://pipeline-client-" +
+                                      std::to_string(index));
     EXPECT_TRUE(ep.ok());
     auto qp = (*ep)->Connect(engine_->endpoint(), net::Transport::kRdma,
                              (*ep)->AllocPd(), engine_->pd());
     EXPECT_TRUE(qp.ok());
-    DaosEngine* engine = engine_.get();
+    DaosEngine* engine = engine_;
     return std::make_unique<rpc::RpcClient>(
         *qp, *ep, [engine] { (void)engine->ProgressAll(); });
   }
@@ -184,35 +183,35 @@ class EnginePipelineTest : public ::testing::Test {
     return enc;
   }
 
-  net::Fabric fabric_;
-  std::unique_ptr<storage::NvmeDevice> device_;
-  std::unique_ptr<DaosEngine> engine_;
+  std::unique_ptr<Cluster> cluster_;
+  net::Fabric* fabric_ = nullptr;
+  DaosEngine* engine_ = nullptr;
 };
 
 TEST_F(EnginePipelineTest, CreateRejectsZeroTargets) {
-  storage::NvmeDevice* raw[] = {device_.get()};
+  storage::NvmeDevice* raw[] = {cluster_->device(0)};
   EngineConfig config;
   config.address = "fabric://zero-target-engine";
   config.targets = 0;
-  auto engine = DaosEngine::Create(&fabric_, config, raw);
+  auto engine = DaosEngine::Create(fabric_, config, raw);
   EXPECT_EQ(engine.status().code(), ErrorCode::kInvalidArgument)
       << "targets == 0 must be a clean construction error, not a silent "
          "single-target fallback";
   // The reject happened before any endpoint was claimed.
-  EXPECT_FALSE(fabric_.Lookup("fabric://zero-target-engine").ok());
+  EXPECT_FALSE(fabric_->Lookup("fabric://zero-target-engine").ok());
 }
 
 TEST_F(EnginePipelineTest, CreateRejectsEmptyDevicesAndDuplicateAddress) {
   EngineConfig config;
   config.address = "fabric://no-device-engine";
   auto no_dev = DaosEngine::Create(
-      &fabric_, config, std::span<storage::NvmeDevice* const>{});
+      fabric_, config, std::span<storage::NvmeDevice* const>{});
   EXPECT_EQ(no_dev.status().code(), ErrorCode::kInvalidArgument);
 
-  storage::NvmeDevice* raw[] = {device_.get()};
+  storage::NvmeDevice* raw[] = {cluster_->device(0)};
   EngineConfig dup;
   dup.address = "fabric://pipeline-engine";  // taken by the fixture engine
-  EXPECT_EQ(DaosEngine::Create(&fabric_, dup, raw).status().code(),
+  EXPECT_EQ(DaosEngine::Create(fabric_, dup, raw).status().code(),
             ErrorCode::kAlreadyExists);
 }
 

@@ -103,7 +103,7 @@ TEST(FaultPlanTest, DelayPayloadRidesTheDecision) {
   EXPECT_EQ(plan.Evaluate(FaultPoint::kRpcDelay).delay_us, 0u);
 }
 
-// --- net-layer integration: the legacy injectors arm the same plan ------
+// --- net-layer integration: each Qp / Endpoint owns the plan it consults -
 
 TEST(FaultPlanNetTest, LegacySendInjectorArmsQpPlan) {
   net::Fabric fabric;
@@ -113,7 +113,7 @@ TEST(FaultPlanNetTest, LegacySendInjectorArmsQpPlan) {
   auto qp = (*a)->Connect(*b, net::Transport::kTcp, (*a)->AllocPd(),
                           (*b)->AllocPd());
   ASSERT_TRUE(qp.ok());
-  (*qp)->InjectSendFaults(2);
+  (*qp)->fault_plan().Arm(FaultPoint::kNetSend, {/*skip=*/0, /*count=*/2});
   EXPECT_TRUE((*qp)->fault_plan().armed(FaultPoint::kNetSend));
   Buffer payload = MakePatternBuffer(64, 1);
   EXPECT_EQ((*qp)->Send(payload).code(), ErrorCode::kUnavailable);
@@ -126,7 +126,8 @@ TEST(FaultPlanNetTest, LegacyRegisterInjectorHonorsSkip) {
   net::Fabric fabric;
   auto ep = fabric.CreateEndpoint("fabric://fault-reg");
   ASSERT_TRUE(ep.ok());
-  (*ep)->InjectRegisterFaults(/*skip=*/1, /*count=*/1);
+  (*ep)->fault_plan().Arm(FaultPoint::kNetRegister,
+                         {/*skip=*/1, /*count=*/1});
   Buffer buf = MakePatternBuffer(128, 2);
   const auto pd = (*ep)->AllocPd();
   auto first = (*ep)->RegisterMemory(pd, buf, net::kRemoteRead);

@@ -177,7 +177,8 @@ TEST_F(MrCacheTest, OverlappingRegistrationsDeregisterIndependently) {
 
 TEST_F(MrCacheTest, RegistrationFailurePropagates) {
   Buffer a(64);
-  ep_->InjectRegisterFaults(/*skip=*/0, /*count=*/1);
+  ep_->fault_plan().Arm(common::FaultPoint::kNetRegister,
+                        {/*skip=*/0, /*count=*/1});
   EXPECT_EQ(cache().Acquire(pd_, a, kRemoteRead).status().code(),
             ErrorCode::kResourceExhausted);
   EXPECT_EQ(cache().size(), 0u);

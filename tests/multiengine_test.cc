@@ -8,6 +8,7 @@
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "daos/placement.h"
 #include "dfs/dfs.h"
 
@@ -19,19 +20,15 @@ class MultiEngineTest : public ::testing::TestWithParam<net::Transport> {
   static constexpr int kEngines = 3;
 
   void SetUp() override {
-    for (int e = 0; e < kEngines; ++e) {
-      storage::NvmeDeviceConfig dev;
-      dev.capacity_bytes = 256 * kMiB;
-      devices_.push_back(std::make_unique<storage::NvmeDevice>(dev));
-      storage::NvmeDevice* raw[] = {devices_.back().get()};
-      EngineConfig config;
-      config.address = "fabric://engine-" + std::to_string(e);
-      config.targets = 4;
-      config.scm_per_target = 16 * kMiB;
-      engines_.push_back(
-          std::make_unique<DaosEngine>(&fabric_, config, raw));
-    }
-    for (auto& engine : engines_) raw_engines_.push_back(engine.get());
+    ClusterSpec spec;
+    spec.engines = kEngines;
+    spec.engine.address = "fabric://engine";
+    spec.engine.targets = 4;
+    spec.engine.scm_per_target = 16 * kMiB;
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    engines_ = cluster_->engines();
   }
 
   Result<std::unique_ptr<DaosClient>> Connect(std::uint32_t replicas,
@@ -40,13 +37,11 @@ class MultiEngineTest : public ::testing::TestWithParam<net::Transport> {
     options.transport = GetParam();
     options.client_address = address;
     options.replicas = replicas;
-    return DaosClient::Connect(&fabric_, raw_engines_, options);
+    return cluster_->Connect(options);
   }
 
-  net::Fabric fabric_;
-  std::vector<std::unique_ptr<storage::NvmeDevice>> devices_;
-  std::vector<std::unique_ptr<DaosEngine>> engines_;
-  std::vector<DaosEngine*> raw_engines_;
+  std::unique_ptr<Cluster> cluster_;
+  std::span<DaosEngine* const> engines_;
 };
 
 TEST_P(MultiEngineTest, RoundTripAcrossEngines) {
@@ -358,6 +353,47 @@ INSTANTIATE_TEST_SUITE_P(Transports, MultiEngineTest,
                            return std::string(
                                perf::TransportName(info.param));
                          });
+
+// --- the cluster fixture's own rules ------------------------------------
+
+TEST(ClusterTest, BadSpecIsInvalidArgumentNotAnAbort) {
+  ClusterSpec spec;
+  spec.engines = 0;
+  EXPECT_EQ(Cluster::Boot(spec).status().code(), ErrorCode::kInvalidArgument);
+  spec.engines = 1;
+  spec.engine.targets = 0;
+  EXPECT_EQ(Cluster::Boot(spec).status().code(), ErrorCode::kInvalidArgument);
+  spec.engine.targets = 1;
+  spec.ssds_per_engine = 0;
+  EXPECT_EQ(Cluster::Boot(spec).status().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(ClusterTest, ClientsAndRebuildManagerShareOnePoolMap) {
+  ClusterSpec spec;
+  spec.engines = 3;
+  spec.engine.targets = 2;
+  spec.engine.scm_per_target = 8 * kMiB;
+  auto cluster = Cluster::Boot(spec);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  DaosClient::ConnectOptions options;
+  options.client_address = "fabric://share-a";
+  auto a = (*cluster)->Connect(options);
+  options.client_address = "fabric://share-b";
+  auto b = (*cluster)->Connect(options);
+  auto mgr = (*cluster)->NewRebuildManager({});
+  ASSERT_TRUE(a.ok() && b.ok() && mgr.ok());
+  // Before the failure the manager sees engine 1 UP: nothing to rebuild.
+  EXPECT_EQ((*mgr)->Rebuild(1).code(), ErrorCode::kFailedPrecondition);
+
+  ASSERT_TRUE((*a)->SetEngineDown(1, true).ok());
+  EXPECT_EQ((*b)->pool_map(), (*a)->pool_map());
+  EXPECT_EQ((*b)->pool_map()->state(1), EngineState::kDown);
+  // The manager sees the DOWN set through client a, and its UP is seen by
+  // both clients.
+  ASSERT_TRUE((*mgr)->Rebuild(1).ok());
+  EXPECT_EQ((*a)->pool_map()->state(1), EngineState::kUp);
+  EXPECT_EQ((*b)->pool_map()->state(1), EngineState::kUp);
+}
 
 }  // namespace
 }  // namespace ros2::daos

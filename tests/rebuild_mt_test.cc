@@ -17,6 +17,7 @@
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "daos/placement.h"
 
 namespace ros2::daos {
@@ -29,23 +30,17 @@ class RebuildMtTest : public ::testing::Test {
   static constexpr std::uint32_t kVictim = 1;
 
   void SetUp() override {
-    for (std::uint32_t e = 0; e < kEngines; ++e) {
-      storage::NvmeDeviceConfig dev;
-      dev.capacity_bytes = 256 * kMiB;
-      devices_.push_back(std::make_unique<storage::NvmeDevice>(dev));
-      storage::NvmeDevice* raw[] = {devices_.back().get()};
-      EngineConfig config;
-      config.address = "fabric://rebuild-mt-engine-" + std::to_string(e);
-      config.targets = 4;
-      config.scm_per_target = 16 * kMiB;
-      config.xstream_workers = true;
-      auto engine = DaosEngine::Create(&fabric_, config, raw);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      engines_.push_back(std::move(*engine));
-      engines_.back()->StartProgressThread();
-    }
-    for (auto& engine : engines_) raw_engines_.push_back(engine.get());
-    map_ = std::make_unique<PoolMap>(kEngines);
+    ClusterSpec spec;
+    spec.engines = kEngines;
+    spec.engine.address = "fabric://rebuild-mt-engine";
+    spec.engine.targets = 4;
+    spec.engine.scm_per_target = 16 * kMiB;
+    spec.engine.xstream_workers = true;
+    spec.progress_threads = true;
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    map_ = cluster_->pool_map();
   }
 
   /// A pumpless client (the engines' progress threads serve it), safe to
@@ -54,18 +49,13 @@ class RebuildMtTest : public ::testing::Test {
     DaosClient::ConnectOptions options;
     options.client_address = "fabric://rebuild-mt-" + name;
     options.replicas = kReplicas;
-    options.pool_map = map_.get();
-    options.progress_pump = false;
-    auto client = DaosClient::Connect(&fabric_, raw_engines_, options);
+    auto client = cluster_->Connect(options);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return client.ok() ? std::move(*client) : nullptr;
   }
 
-  net::Fabric fabric_;
-  std::vector<std::unique_ptr<storage::NvmeDevice>> devices_;
-  std::vector<std::unique_ptr<DaosEngine>> engines_;
-  std::vector<DaosEngine*> raw_engines_;
-  std::unique_ptr<PoolMap> map_;
+  std::unique_ptr<Cluster> cluster_;
+  PoolMap* map_ = nullptr;
 };
 
 TEST_F(RebuildMtTest, RebuildConvergesUnderConcurrentWrites) {
@@ -159,9 +149,7 @@ TEST_F(RebuildMtTest, RebuildConvergesUnderConcurrentWrites) {
   RebuildManager::Options ropts;
   ropts.address = "fabric://rebuild-mt-mgr";
   ropts.replicas = kReplicas;
-  ropts.progress_pump = false;
-  auto mgr =
-      RebuildManager::Create(&fabric_, raw_engines_, map_.get(), ropts);
+  auto mgr = cluster_->NewRebuildManager(ropts);
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
   // The rebuild runs concurrently with live traffic through its scan +
   // re-silver phase; once it is under way the writer quiesces so the

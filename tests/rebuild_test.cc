@@ -14,6 +14,7 @@
 #include "common/fault.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "daos/placement.h"
 
 namespace ros2::daos {
@@ -26,35 +27,28 @@ class RebuildTest : public ::testing::Test {
   static constexpr std::uint32_t kVictim = 1;
 
   void SetUp() override {
-    for (std::uint32_t e = 0; e < kEngines; ++e) {
-      storage::NvmeDeviceConfig dev;
-      dev.capacity_bytes = 256 * kMiB;
-      devices_.push_back(std::make_unique<storage::NvmeDevice>(dev));
-      storage::NvmeDevice* raw[] = {devices_.back().get()};
-      EngineConfig config;
-      config.address = "fabric://rebuild-engine-" + std::to_string(e);
-      config.targets = 4;
-      config.scm_per_target = 16 * kMiB;
-      auto engine = DaosEngine::Create(&fabric_, config, raw);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      engines_.push_back(std::move(*engine));
-    }
-    for (auto& engine : engines_) raw_engines_.push_back(engine.get());
-    map_ = std::make_unique<PoolMap>(kEngines);
+    ClusterSpec spec;
+    spec.engines = kEngines;
+    spec.engine.address = "fabric://rebuild-engine";
+    spec.engine.targets = 4;
+    spec.engine.scm_per_target = 16 * kMiB;
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    engines_ = cluster_->engines();
+    map_ = cluster_->pool_map();
 
     DaosClient::ConnectOptions options;
     options.client_address = "fabric://rebuild-client";
     options.replicas = kReplicas;
-    options.pool_map = map_.get();
-    auto client = DaosClient::Connect(&fabric_, raw_engines_, options);
+    auto client = cluster_->Connect(options);
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     client_ = std::move(*client);
 
     RebuildManager::Options ropts;
     ropts.address = "fabric://rebuild-mgr";
     ropts.replicas = kReplicas;
-    auto mgr =
-        RebuildManager::Create(&fabric_, raw_engines_, map_.get(), ropts);
+    auto mgr = cluster_->NewRebuildManager(ropts);
     ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
     mgr_ = std::move(*mgr);
   }
@@ -93,11 +87,9 @@ class RebuildTest : public ::testing::Test {
     }
   }
 
-  net::Fabric fabric_;
-  std::vector<std::unique_ptr<storage::NvmeDevice>> devices_;
-  std::vector<std::unique_ptr<DaosEngine>> engines_;
-  std::vector<DaosEngine*> raw_engines_;
-  std::unique_ptr<PoolMap> map_;
+  std::unique_ptr<Cluster> cluster_;
+  std::span<DaosEngine* const> engines_;
+  PoolMap* map_ = nullptr;
   std::unique_ptr<DaosClient> client_;
   std::unique_ptr<RebuildManager> mgr_;
 };
@@ -133,7 +125,7 @@ TEST_F(RebuildTest, SharedMapPropagatesToClientRouting) {
   Buffer out(data.size());
   EXPECT_TRUE(client_->Fetch(*cont, *oid, "dk", "a", 0, out).ok());
   EXPECT_EQ(out, data);
-  EXPECT_EQ(client_->pool_map(), map_.get());
+  EXPECT_EQ(client_->pool_map(), map_);
   ASSERT_TRUE(map_->SetState(kVictim, EngineState::kUp).ok());
 }
 

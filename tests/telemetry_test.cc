@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/cluster.h"
 #include "rpc/wire.h"
 #include "telemetry/snapshot.h"
 
@@ -320,9 +321,8 @@ TEST(TelemetryConcurrencyTest, SnapshotsDuringWritesAreMonotone) {
 // --------------------------------------------------- engine, end to end
 
 struct EngineHarness {
-  net::Fabric fabric;
-  std::unique_ptr<storage::NvmeDevice> device;
-  std::unique_ptr<daos::DaosEngine> engine;
+  std::unique_ptr<daos::Cluster> cluster;
+  daos::DaosEngine* engine = nullptr;
   std::unique_ptr<daos::DaosClient> client;
   daos::ContainerId cont = 0;
   daos::ObjectId oid;
@@ -330,23 +330,19 @@ struct EngineHarness {
   static std::unique_ptr<EngineHarness> Boot(bool threaded, bool telemetry,
                                              std::uint32_t targets = 4) {
     auto h = std::make_unique<EngineHarness>();
-    storage::NvmeDeviceConfig dev;
-    dev.capacity_bytes = 128 * kMiB;
-    h->device = std::make_unique<storage::NvmeDevice>(dev);
-    storage::NvmeDevice* raw[] = {h->device.get()};
-    daos::EngineConfig config;
-    config.address = "fabric://telemetry-engine";
-    config.targets = targets;
-    config.scm_per_target = 8 * kMiB;
-    config.xstream_workers = threaded;
-    config.telemetry = telemetry;
-    auto engine = daos::DaosEngine::Create(&h->fabric, config, raw);
-    if (!engine.ok()) return nullptr;
-    h->engine = std::move(*engine);
+    daos::ClusterSpec spec;
+    spec.engine.address = "fabric://telemetry-engine";
+    spec.engine.targets = targets;
+    spec.engine.scm_per_target = 8 * kMiB;
+    spec.engine.xstream_workers = threaded;
+    spec.engine.telemetry = telemetry;
+    auto cluster = daos::Cluster::Boot(spec);
+    if (!cluster.ok()) return nullptr;
+    h->cluster = std::move(*cluster);
+    h->engine = h->cluster->engine(0);
     daos::DaosClient::ConnectOptions connect;
     connect.client_address = "fabric://telemetry-client";
-    auto client =
-        daos::DaosClient::Connect(&h->fabric, h->engine.get(), connect);
+    auto client = h->cluster->Connect(connect);
     if (!client.ok()) return nullptr;
     h->client = std::move(*client);
     auto cont = h->client->ContainerCreate("telemetry");
