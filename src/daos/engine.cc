@@ -48,6 +48,23 @@ Status DaosEngine::DecodeObjAddr(rpc::Decoder& dec, ObjAddr* out) {
   return Status::Ok();
 }
 
+namespace {
+
+/// kObjPunch's barrier test: an object-scope punch touches every target.
+bool IsObjectPunch(rpc::Decoder tail) {
+  auto scope = tail.U8();
+  return scope.ok() && PunchScope(*scope) == PunchScope::kObject;
+}
+
+/// One akey of a kDkeyExport image (the kDkeyImport payload).
+struct DkeyImageEntry {
+  std::string akey;
+  ValueType type;
+  Buffer payload;
+};
+
+}  // namespace
+
 Result<std::unique_ptr<DaosEngine>> DaosEngine::Create(
     net::Fabric* fabric, EngineConfig config,
     std::span<storage::NvmeDevice* const> devices) {
@@ -71,7 +88,6 @@ DaosEngine::DaosEngine(net::Endpoint* endpoint, EngineConfig config,
       endpoint_(endpoint),
       scheduler_(config_.targets,
                  EngineSchedulerOptions{config_.xstream_workers,
-                                        config_.xstream_queue_depth,
                                         /*time_ops=*/config_.telemetry}),
       telemetry_(/*default_shards=*/config_.targets + 1),
       updates_(config_.targets),
@@ -139,20 +155,8 @@ Status DaosEngine::ProgressAll() {
   // synchronous-pump contract (reply ready when ProgressAll returns)
   // holds in both modes.
   Status s = server_.Progress(&poll_set_);
-  if (scheduler_.threaded()) {
-    scheduler_.Quiesce();
-  } else {
-    scheduler_.ProgressAll();
-  }
+  scheduler_.Quiesce();
   return s;
-}
-
-void DaosEngine::DrainBarrier() {
-  if (scheduler_.threaded()) {
-    scheduler_.Quiesce();
-  } else {
-    scheduler_.ProgressAll();
-  }
 }
 
 void DaosEngine::ProgressThreadMain() {
@@ -177,7 +181,7 @@ void DaosEngine::ProgressThreadMain() {
   // Final sweep: everything decoded before stop was requested still gets
   // its reply (tests rely on a clean drain, not dropped contexts).
   (void)server_.Progress(&poll_set_);
-  DrainBarrier();
+  scheduler_.Quiesce();
   // Publish the totals as of thread exit so a post-mortem dump (after
   // Stop(), when live queries are no longer pumped) is not all-zero.
   PublishSnapshot();
@@ -198,17 +202,6 @@ void DaosEngine::StopProgressThread() {
 
 Vos* DaosEngine::target_vos(std::uint32_t target) {
   return target < targets_.size() ? targets_[target].vos.get() : nullptr;
-}
-
-EngineStats DaosEngine::stats() const {
-  // A view over the telemetry counters — same objects the metric tree
-  // links, folded here instead of maintained twice.
-  EngineStats s;
-  s.updates = updates_.value();
-  s.fetches = fetches_.value();
-  s.bulk_bytes_in = server_.bulk_bytes_in();
-  s.bulk_bytes_out = server_.bulk_bytes_out();
-  return s;
 }
 
 void DaosEngine::SetupTelemetry() {
@@ -331,53 +324,50 @@ Result<telemetry::TelemetrySnapshot> DaosEngine::published_snapshot() const {
 }
 
 void DaosEngine::RegisterHandlers() {
+  using InlineFn = Result<Buffer> (DaosEngine::*)(const Buffer&);
   // Metadata / pool-service ops: answered inline from the dispatch step.
-  auto bind = [this](DaosOpcode op,
-                     Result<Buffer> (DaosEngine::*fn)(const Buffer&)) {
+  auto answer = [this](DaosOpcode op, InlineFn fn) {
     server_.Register(std::uint32_t(op),
                      [this, fn](const Buffer& h, rpc::BulkIo&) {
                        return (this->*fn)(h);
                      });
   };
-  bind(DaosOpcode::kPoolConnect, &DaosEngine::HandlePoolConnect);
-  bind(DaosOpcode::kContCreate, &DaosEngine::HandleContCreate);
-  bind(DaosOpcode::kContOpen, &DaosEngine::HandleContOpen);
-  bind(DaosOpcode::kOidAlloc, &DaosEngine::HandleOidAlloc);
-  bind(DaosOpcode::kTelemetryQuery, &DaosEngine::HandleTelemetryQuery);
-  // kListDkeys enumerates every target: it is a BARRIER — the xstreams
-  // drain first so the listing observes every already-issued op.
-  server_.Register(std::uint32_t(DaosOpcode::kListDkeys),
-                   [this](const Buffer& h, rpc::BulkIo&) {
-                     DrainBarrier();
-                     return HandleListDkeys(h);
-                   });
-  // kObjScan (the rebuild walk) enumerates every target too: same barrier
-  // so the scan observes every already-issued op.
-  server_.Register(std::uint32_t(DaosOpcode::kObjScan),
-                   [this](const Buffer&, rpc::BulkIo&) {
-                     DrainBarrier();
-                     return HandleObjScan();
-                   });
-
-  // Target-routed data ops: decode -> defer onto the dkey's xstream.
-  auto defer = [this](DaosOpcode op,
-                      rpc::HandlerVerdict (DaosEngine::*fn)(
-                          rpc::RpcContextPtr)) {
+  // Barrier ops enumerate every target: the xstreams drain first so the
+  // answer observes every already-issued op.
+  auto barrier = [this](DaosOpcode op, InlineFn fn) {
+    server_.Register(std::uint32_t(op),
+                     [this, fn](const Buffer& h, rpc::BulkIo&) {
+                       scheduler_.Quiesce();
+                       return (this->*fn)(h);
+                     });
+  };
+  // Target-routed data ops: Route defers them onto the dkey's xstream.
+  auto route = [this](DaosOpcode op, ExecFn exec,
+                      BarrierFn barrier_if = nullptr) {
     server_.RegisterAsync(std::uint32_t(op),
-                          [this, fn](rpc::RpcContextPtr ctx) {
-                            return (this->*fn)(std::move(ctx));
+                          [this, exec, barrier_if](rpc::RpcContextPtr ctx) {
+                            return Route(std::move(ctx), exec, barrier_if);
                           });
   };
-  defer(DaosOpcode::kObjUpdate, &DaosEngine::DeferObjUpdate);
-  defer(DaosOpcode::kObjFetch, &DaosEngine::DeferObjFetch);
-  defer(DaosOpcode::kSingleUpdate, &DaosEngine::DeferSingleUpdate);
-  defer(DaosOpcode::kSingleFetch, &DaosEngine::DeferSingleFetch);
-  defer(DaosOpcode::kObjPunch, &DaosEngine::DeferObjPunch);
-  defer(DaosOpcode::kListAkeys, &DaosEngine::DeferListAkeys);
-  defer(DaosOpcode::kArraySize, &DaosEngine::DeferArraySize);
-  defer(DaosOpcode::kAggregate, &DaosEngine::DeferAggregate);
-  defer(DaosOpcode::kDkeyExport, &DaosEngine::DeferDkeyExport);
-  defer(DaosOpcode::kDkeyImport, &DaosEngine::DeferDkeyImport);
+  answer(DaosOpcode::kPoolConnect, &DaosEngine::HandlePoolConnect);
+  answer(DaosOpcode::kContCreate, &DaosEngine::HandleContCreate);
+  answer(DaosOpcode::kContOpen, &DaosEngine::HandleContOpen);
+  answer(DaosOpcode::kOidAlloc, &DaosEngine::HandleOidAlloc);
+  answer(DaosOpcode::kTelemetryQuery, &DaosEngine::HandleTelemetryQuery);
+  barrier(DaosOpcode::kListDkeys, &DaosEngine::HandleListDkeys);
+  barrier(DaosOpcode::kObjScan, &DaosEngine::HandleObjScan);
+  // The one placement decided at dispatch: an object-scope punch runs as
+  // a barrier, a dkey/akey punch on the dkey's xstream.
+  route(DaosOpcode::kObjPunch, &DaosEngine::ExecObjPunch, &IsObjectPunch);
+  route(DaosOpcode::kObjUpdate, &DaosEngine::ExecObjUpdate);
+  route(DaosOpcode::kObjFetch, &DaosEngine::ExecObjFetch);
+  route(DaosOpcode::kSingleUpdate, &DaosEngine::ExecSingleUpdate);
+  route(DaosOpcode::kSingleFetch, &DaosEngine::ExecSingleFetch);
+  route(DaosOpcode::kListAkeys, &DaosEngine::ExecListAkeys);
+  route(DaosOpcode::kArraySize, &DaosEngine::ExecArraySize);
+  route(DaosOpcode::kAggregate, &DaosEngine::ExecAggregate);
+  route(DaosOpcode::kDkeyExport, &DaosEngine::ExecDkeyExport);
+  route(DaosOpcode::kDkeyImport, &DaosEngine::ExecDkeyImport);
 }
 
 Result<DaosEngine::Container*> DaosEngine::FindContainer(ContainerId id) {
@@ -392,10 +382,27 @@ std::uint32_t DaosEngine::TargetOf(const ObjectId& oid,
   return PlaceDkey(oid, dkey, std::uint32_t(targets_.size()));
 }
 
-rpc::HandlerVerdict DaosEngine::Defer(std::uint32_t target,
-                                      rpc::RpcContextPtr ctx,
-                                      EngineScheduler::OpFn op) {
-  scheduler_.Enqueue(target, std::move(ctx), std::move(op));
+rpc::HandlerVerdict DaosEngine::Route(rpc::RpcContextPtr ctx, ExecFn exec,
+                                      BarrierFn barrier) {
+  rpc::Decoder tail(ctx->header());
+  ObjAddr addr;
+  if (Status s = DecodeObjAddr(tail, &addr); !s.ok()) {
+    (void)ctx->Complete(std::move(s));
+    return rpc::HandlerVerdict::kDone;
+  }
+  // Place before the address moves into the op closure.
+  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
+  auto run = [this, exec, addr = std::move(addr), tail,
+              target](rpc::RpcContext& c) mutable -> Result<Buffer> {
+    ROS2_ASSIGN_OR_RETURN(Container * cont, FindContainer(addr.cont));
+    return (this->*exec)(*cont, addr, tail, target, c);
+  };
+  if (barrier != nullptr && barrier(tail)) {
+    scheduler_.Quiesce();
+    (void)ctx->Complete(run(*ctx));
+    return rpc::HandlerVerdict::kDone;
+  }
+  scheduler_.Enqueue(target, std::move(ctx), std::move(run));
   return rpc::HandlerVerdict::kDeferred;
 }
 
@@ -467,21 +474,6 @@ Result<Buffer> DaosEngine::HandleOidAlloc(const Buffer& header) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::HandleObjectPunch(const ObjAddr& addr) {
-  ROS2_ASSIGN_OR_RETURN(Container * cont, FindContainer(addr.cont));
-  const Epoch epoch = cont->next_epoch++;
-  // The object's dkeys may span every target; punch on each.
-  bool found = false;
-  for (auto& target : targets_) {
-    if (target.vos->ObjectExists(addr.oid)) {
-      ROS2_RETURN_IF_ERROR(target.vos->PunchObject(addr.oid, epoch));
-      found = true;
-    }
-  }
-  if (!found) return Status(NotFound("no such object"));
-  return Buffer{};
-}
-
 Result<Buffer> DaosEngine::HandleListDkeys(const Buffer& header) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(ContainerId cont_id, dec.U64());
@@ -514,7 +506,7 @@ Result<Buffer> DaosEngine::HandleListDkeys(const Buffer& header) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::HandleObjScan() {
+Result<Buffer> DaosEngine::HandleObjScan(const Buffer&) {
   // Within one engine a dkey lives on exactly one target, so the
   // concatenation is already duplicate-free.
   rpc::Encoder enc;
@@ -548,224 +540,20 @@ Result<Buffer> DaosEngine::HandleTelemetryQuery(const Buffer& header) {
   return enc.Take();
 }
 
-// ------------------------------------------------- dispatch-step routing
-
-rpc::HandlerVerdict DaosEngine::CompleteWithError(rpc::RpcContextPtr ctx,
-                                                  Status error) {
-  (void)ctx->Complete(std::move(error));
-  return rpc::HandlerVerdict::kDone;
-}
-
-rpc::HandlerVerdict DaosEngine::DeferObjUpdate(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  std::uint64_t offset = 0;
-  Status s = [&]() -> Status {
-    ROS2_RETURN_IF_ERROR(DecodeObjAddr(dec, &addr));
-    ROS2_ASSIGN_OR_RETURN(offset, dec.U64());
-    return Status::Ok();
-  }();
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), offset,
-                target](rpc::RpcContext& c) {
-                 return ExecObjUpdate(addr, offset, target, c.bulk());
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferObjFetch(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  std::uint64_t offset = 0;
-  std::uint64_t length = 0;
-  Epoch epoch = 0;
-  Status s = [&]() -> Status {
-    ROS2_RETURN_IF_ERROR(DecodeObjAddr(dec, &addr));
-    ROS2_ASSIGN_OR_RETURN(offset, dec.U64());
-    ROS2_ASSIGN_OR_RETURN(length, dec.U64());
-    ROS2_ASSIGN_OR_RETURN(epoch, dec.U64());
-    return Status::Ok();
-  }();
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), offset, length, epoch,
-                target](rpc::RpcContext& c) {
-                 return ExecObjFetch(addr, offset, length, epoch, target,
-                                     c.bulk());
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferSingleUpdate(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  Buffer value;
-  Status s = [&]() -> Status {
-    ROS2_RETURN_IF_ERROR(DecodeObjAddr(dec, &addr));
-    ROS2_ASSIGN_OR_RETURN(value, dec.Bytes());
-    return Status::Ok();
-  }();
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), value = std::move(value),
-                target](rpc::RpcContext&) {
-                 return ExecSingleUpdate(addr, value, target);
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferSingleFetch(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  Epoch epoch = 0;
-  Status s = [&]() -> Status {
-    ROS2_RETURN_IF_ERROR(DecodeObjAddr(dec, &addr));
-    ROS2_ASSIGN_OR_RETURN(epoch, dec.U64());
-    return Status::Ok();
-  }();
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), epoch,
-                target](rpc::RpcContext&) {
-                 return ExecSingleFetch(addr, epoch, target);
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferObjPunch(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  std::uint8_t scope_raw = 0;
-  Status s = [&]() -> Status {
-    ROS2_RETURN_IF_ERROR(DecodeObjAddr(dec, &addr));
-    ROS2_ASSIGN_OR_RETURN(scope_raw, dec.U8());
-    return Status::Ok();
-  }();
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const auto scope = PunchScope(scope_raw);
-  if (scope == PunchScope::kObject) {
-    // Object punch touches every target: barrier, then answer inline.
-    DrainBarrier();
-    (void)ctx->Complete(HandleObjectPunch(addr));
-    return rpc::HandlerVerdict::kDone;
-  }
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), scope,
-                target](rpc::RpcContext&) {
-                 return ExecKeyPunch(addr, scope, target);
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferListAkeys(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  Status s = DecodeObjAddr(dec, &addr);
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), target](rpc::RpcContext&)
-                   -> Result<Buffer> {
-                 ROS2_RETURN_IF_ERROR(FindContainer(addr.cont).status());
-                 rpc::Encoder enc;
-                 const auto akeys =
-                     targets_[target].vos->ListAkeys(addr.oid, addr.dkey);
-                 enc.U32(std::uint32_t(akeys.size()));
-                 for (const auto& akey : akeys) enc.Str(akey);
-                 return enc.Take();
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferArraySize(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  Epoch epoch = 0;
-  Status s = [&]() -> Status {
-    ROS2_RETURN_IF_ERROR(DecodeObjAddr(dec, &addr));
-    ROS2_ASSIGN_OR_RETURN(epoch, dec.U64());
-    return Status::Ok();
-  }();
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), epoch,
-                target](rpc::RpcContext&) -> Result<Buffer> {
-                 ROS2_RETURN_IF_ERROR(FindContainer(addr.cont).status());
-                 ROS2_ASSIGN_OR_RETURN(
-                     std::uint64_t size,
-                     targets_[target].vos->ArraySize(addr.oid, addr.dkey,
-                                                     addr.akey, epoch));
-                 rpc::Encoder enc;
-                 enc.U64(size);
-                 return enc.Take();
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferAggregate(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  Epoch upto = 0;
-  Status s = [&]() -> Status {
-    ROS2_RETURN_IF_ERROR(DecodeObjAddr(dec, &addr));
-    ROS2_ASSIGN_OR_RETURN(upto, dec.U64());
-    return Status::Ok();
-  }();
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), upto,
-                target](rpc::RpcContext&) -> Result<Buffer> {
-                 ROS2_RETURN_IF_ERROR(FindContainer(addr.cont).status());
-                 ROS2_RETURN_IF_ERROR(targets_[target].vos->AggregateArray(
-                     addr.oid, addr.dkey, addr.akey, upto));
-                 return Buffer{};
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferDkeyExport(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  Status s = DecodeObjAddr(dec, &addr);
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), target](rpc::RpcContext&) {
-                 return ExecDkeyExport(addr, target);
-               });
-}
-
-rpc::HandlerVerdict DaosEngine::DeferDkeyImport(rpc::RpcContextPtr ctx) {
-  rpc::Decoder dec(ctx->header());
-  ObjAddr addr;
-  Buffer image;
-  Status s = [&]() -> Status {
-    ROS2_RETURN_IF_ERROR(DecodeObjAddr(dec, &addr));
-    ROS2_ASSIGN_OR_RETURN(image, dec.Bytes());
-    return Status::Ok();
-  }();
-  if (!s.ok()) return CompleteWithError(std::move(ctx), std::move(s));
-  const std::uint32_t target = TargetOf(addr.oid, addr.dkey);
-  return Defer(target, std::move(ctx),
-               [this, addr = std::move(addr), image = std::move(image),
-                target](rpc::RpcContext&) {
-                 return ExecDkeyImport(addr, image, target);
-               });
-}
-
 // ------------------------------------------------- xstream execution
 
-Result<Buffer> DaosEngine::ExecObjUpdate(const ObjAddr& addr,
-                                         std::uint64_t offset,
+Result<Buffer> DaosEngine::ExecObjUpdate(Container& cont, const ObjAddr& addr,
+                                         rpc::Decoder& tail,
                                          std::uint32_t target,
-                                         rpc::BulkIo& bulk) {
-  ROS2_ASSIGN_OR_RETURN(Container * cont, FindContainer(addr.cont));
+                                         rpc::RpcContext& ctx) {
+  ROS2_ASSIGN_OR_RETURN(std::uint64_t offset, tail.U64());
+  rpc::BulkIo& bulk = ctx.bulk();
   if (bulk.in_size() == 0) {
     return Status(InvalidArgument("update requires a bulk payload"));
   }
   Buffer data(bulk.in_size());
   ROS2_RETURN_IF_ERROR(bulk.Pull(data));
-  const Epoch epoch = cont->next_epoch++;
+  const Epoch epoch = cont.next_epoch++;
   ROS2_RETURN_IF_ERROR(targets_[target].vos->UpdateArray(
       addr.oid, addr.dkey, addr.akey, epoch, offset, data));
   updates_.Add(1, target);
@@ -774,12 +562,14 @@ Result<Buffer> DaosEngine::ExecObjUpdate(const ObjAddr& addr,
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::ExecObjFetch(const ObjAddr& addr,
-                                        std::uint64_t offset,
-                                        std::uint64_t length, Epoch epoch,
+Result<Buffer> DaosEngine::ExecObjFetch(Container&, const ObjAddr& addr,
+                                        rpc::Decoder& tail,
                                         std::uint32_t target,
-                                        rpc::BulkIo& bulk) {
-  ROS2_RETURN_IF_ERROR(FindContainer(addr.cont).status());
+                                        rpc::RpcContext& ctx) {
+  ROS2_ASSIGN_OR_RETURN(std::uint64_t offset, tail.U64());
+  ROS2_ASSIGN_OR_RETURN(std::uint64_t length, tail.U64());
+  ROS2_ASSIGN_OR_RETURN(Epoch epoch, tail.U64());
+  rpc::BulkIo& bulk = ctx.bulk();
   if (length != bulk.out_capacity()) {
     return Status(InvalidArgument("fetch length != client bulk window"));
   }
@@ -791,11 +581,13 @@ Result<Buffer> DaosEngine::ExecObjFetch(const ObjAddr& addr,
   return Buffer{};
 }
 
-Result<Buffer> DaosEngine::ExecSingleUpdate(const ObjAddr& addr,
-                                            const Buffer& value,
-                                            std::uint32_t target) {
-  ROS2_ASSIGN_OR_RETURN(Container * cont, FindContainer(addr.cont));
-  const Epoch epoch = cont->next_epoch++;
+Result<Buffer> DaosEngine::ExecSingleUpdate(Container& cont,
+                                            const ObjAddr& addr,
+                                            rpc::Decoder& tail,
+                                            std::uint32_t target,
+                                            rpc::RpcContext&) {
+  ROS2_ASSIGN_OR_RETURN(Buffer value, tail.Bytes());
+  const Epoch epoch = cont.next_epoch++;
   ROS2_RETURN_IF_ERROR(targets_[target].vos->UpdateSingle(
       addr.oid, addr.dkey, addr.akey, epoch, value));
   updates_.Add(1, target);
@@ -804,9 +596,11 @@ Result<Buffer> DaosEngine::ExecSingleUpdate(const ObjAddr& addr,
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::ExecSingleFetch(const ObjAddr& addr, Epoch epoch,
-                                           std::uint32_t target) {
-  ROS2_RETURN_IF_ERROR(FindContainer(addr.cont).status());
+Result<Buffer> DaosEngine::ExecSingleFetch(Container&, const ObjAddr& addr,
+                                           rpc::Decoder& tail,
+                                           std::uint32_t target,
+                                           rpc::RpcContext&) {
+  ROS2_ASSIGN_OR_RETURN(Epoch epoch, tail.U64());
   ROS2_ASSIGN_OR_RETURN(Buffer value,
                         targets_[target].vos->FetchSingle(
                             addr.oid, addr.dkey, addr.akey, epoch));
@@ -816,16 +610,77 @@ Result<Buffer> DaosEngine::ExecSingleFetch(const ObjAddr& addr, Epoch epoch,
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::ExecDkeyExport(const ObjAddr& addr,
-                                          std::uint32_t target) {
-  ROS2_RETURN_IF_ERROR(FindContainer(addr.cont).status());
+Result<Buffer> DaosEngine::ExecObjPunch(Container& cont, const ObjAddr& addr,
+                                        rpc::Decoder& tail,
+                                        std::uint32_t target,
+                                        rpc::RpcContext&) {
+  ROS2_ASSIGN_OR_RETURN(std::uint8_t scope, tail.U8());
   Vos* vos = targets_[target].vos.get();
-  struct Entry {
-    std::string akey;
-    ValueType type;
-    Buffer payload;
-  };
-  std::vector<Entry> entries;
+  switch (PunchScope(scope)) {
+    case PunchScope::kObject: {
+      // Runs as a barrier: the object's dkeys may span every target.
+      const Epoch epoch = cont.next_epoch++;
+      bool found = false;
+      for (auto& t : targets_) {
+        if (t.vos->ObjectExists(addr.oid)) {
+          ROS2_RETURN_IF_ERROR(t.vos->PunchObject(addr.oid, epoch));
+          found = true;
+        }
+      }
+      if (!found) return Status(NotFound("no such object"));
+      return Buffer{};
+    }
+    case PunchScope::kDkey:
+      ROS2_RETURN_IF_ERROR(
+          vos->PunchDkey(addr.oid, addr.dkey, cont.next_epoch++));
+      return Buffer{};
+    case PunchScope::kAkey:
+      ROS2_RETURN_IF_ERROR(vos->PunchAkey(addr.oid, addr.dkey, addr.akey,
+                                          cont.next_epoch++));
+      return Buffer{};
+  }
+  return Status(
+      InvalidArgument("unknown punch scope " + std::to_string(scope)));
+}
+
+Result<Buffer> DaosEngine::ExecListAkeys(Container&, const ObjAddr& addr,
+                                         rpc::Decoder&, std::uint32_t target,
+                                         rpc::RpcContext&) {
+  const auto akeys = targets_[target].vos->ListAkeys(addr.oid, addr.dkey);
+  rpc::Encoder enc;
+  enc.U32(std::uint32_t(akeys.size()));
+  for (const auto& akey : akeys) enc.Str(akey);
+  return enc.Take();
+}
+
+Result<Buffer> DaosEngine::ExecArraySize(Container&, const ObjAddr& addr,
+                                         rpc::Decoder& tail,
+                                         std::uint32_t target,
+                                         rpc::RpcContext&) {
+  ROS2_ASSIGN_OR_RETURN(Epoch epoch, tail.U64());
+  ROS2_ASSIGN_OR_RETURN(std::uint64_t size,
+                        targets_[target].vos->ArraySize(
+                            addr.oid, addr.dkey, addr.akey, epoch));
+  rpc::Encoder enc;
+  enc.U64(size);
+  return enc.Take();
+}
+
+Result<Buffer> DaosEngine::ExecAggregate(Container&, const ObjAddr& addr,
+                                         rpc::Decoder& tail,
+                                         std::uint32_t target,
+                                         rpc::RpcContext&) {
+  ROS2_ASSIGN_OR_RETURN(Epoch upto, tail.U64());
+  ROS2_RETURN_IF_ERROR(targets_[target].vos->AggregateArray(
+      addr.oid, addr.dkey, addr.akey, upto));
+  return Buffer{};
+}
+
+Result<Buffer> DaosEngine::ExecDkeyExport(Container&, const ObjAddr& addr,
+                                          rpc::Decoder&, std::uint32_t target,
+                                          rpc::RpcContext&) {
+  Vos* vos = targets_[target].vos.get();
+  std::vector<DkeyImageEntry> entries;
   for (const Vos::AkeyInfo& info : vos->DescribeDkey(addr.oid, addr.dkey)) {
     if (info.type == ValueType::kArray) {
       // The flat HEAD image: holes and punched ranges materialize as
@@ -850,62 +705,59 @@ Result<Buffer> DaosEngine::ExecDkeyExport(const ObjAddr& addr,
   fetches_.Add(1, target);
   rpc::Encoder enc;
   enc.U32(std::uint32_t(entries.size()));
-  for (const Entry& e : entries) {
+  for (const DkeyImageEntry& e : entries) {
     enc.Str(e.akey).U8(std::uint8_t(e.type)).Bytes(e.payload);
   }
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::ExecDkeyImport(const ObjAddr& addr,
-                                          const Buffer& image,
-                                          std::uint32_t target) {
-  ROS2_ASSIGN_OR_RETURN(Container * cont, FindContainer(addr.cont));
+Result<Buffer> DaosEngine::ExecDkeyImport(Container& cont, const ObjAddr& addr,
+                                          rpc::Decoder& tail,
+                                          std::uint32_t target,
+                                          rpc::RpcContext&) {
+  ROS2_ASSIGN_OR_RETURN(Buffer image, tail.Bytes());
+  // Decode and validate the whole image before touching the dkey: a
+  // rejected import leaves the existing version readable.
+  rpc::Decoder dec(image);
+  ROS2_ASSIGN_OR_RETURN(std::uint32_t count, dec.U32());
+  std::vector<DkeyImageEntry> entries;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    ROS2_ASSIGN_OR_RETURN(std::string akey, dec.Str());
+    ROS2_ASSIGN_OR_RETURN(std::uint8_t type, dec.U8());
+    ROS2_ASSIGN_OR_RETURN(Buffer payload, dec.Bytes());
+    if (ValueType(type) != ValueType::kSingle &&
+        ValueType(type) != ValueType::kArray) {
+      return Status(
+          InvalidArgument("unknown value type " + std::to_string(type)));
+    }
+    entries.push_back({std::move(akey), ValueType(type), std::move(payload)});
+  }
   Vos* vos = targets_[target].vos.get();
   // Replace semantics: clear whatever version the replacement holds (a
   // partial earlier pass, or nothing), then apply the image at fresh
   // epochs — later than any epoch the survivors stamped, keeping per-akey
   // epoch monotonicity.
-  Status punched = vos->PunchDkey(addr.oid, addr.dkey, cont->next_epoch++);
+  Status punched = vos->PunchDkey(addr.oid, addr.dkey, cont.next_epoch++);
   if (!punched.ok() && punched.code() != ErrorCode::kNotFound) {
     return punched;
   }
-  rpc::Decoder dec(image);
-  ROS2_ASSIGN_OR_RETURN(std::uint32_t count, dec.U32());
   std::uint64_t bytes = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ROS2_ASSIGN_OR_RETURN(std::string akey, dec.Str());
-    ROS2_ASSIGN_OR_RETURN(std::uint8_t type, dec.U8());
-    ROS2_ASSIGN_OR_RETURN(Buffer payload, dec.Bytes());
-    const Epoch epoch = cont->next_epoch++;
-    if (ValueType(type) == ValueType::kArray) {
-      if (payload.empty()) continue;  // zero-length array: nothing to write
-      ROS2_RETURN_IF_ERROR(vos->UpdateArray(addr.oid, addr.dkey, akey, epoch,
-                                            /*offset=*/0, payload));
+  for (const DkeyImageEntry& e : entries) {
+    const Epoch epoch = cont.next_epoch++;
+    if (e.type == ValueType::kArray) {
+      if (e.payload.empty()) continue;  // zero-length array: nothing to write
+      ROS2_RETURN_IF_ERROR(vos->UpdateArray(addr.oid, addr.dkey, e.akey,
+                                            epoch, /*offset=*/0, e.payload));
     } else {
       ROS2_RETURN_IF_ERROR(
-          vos->UpdateSingle(addr.oid, addr.dkey, akey, epoch, payload));
+          vos->UpdateSingle(addr.oid, addr.dkey, e.akey, epoch, e.payload));
     }
-    bytes += payload.size();
+    bytes += e.payload.size();
   }
   updates_.Add(1, target);
   rpc::Encoder enc;
   enc.U64(bytes);
   return enc.Take();
-}
-
-Result<Buffer> DaosEngine::ExecKeyPunch(const ObjAddr& addr,
-                                        PunchScope scope,
-                                        std::uint32_t target) {
-  ROS2_ASSIGN_OR_RETURN(Container * cont, FindContainer(addr.cont));
-  const Epoch epoch = cont->next_epoch++;
-  Vos* vos = targets_[target].vos.get();
-  if (scope == PunchScope::kDkey) {
-    ROS2_RETURN_IF_ERROR(vos->PunchDkey(addr.oid, addr.dkey, epoch));
-  } else {
-    ROS2_RETURN_IF_ERROR(
-        vos->PunchAkey(addr.oid, addr.dkey, addr.akey, epoch));
-  }
-  return Buffer{};
 }
 
 }  // namespace ros2::daos

@@ -12,13 +12,17 @@
 //
 // The request path is the paper's event-driven pipeline: every accepted QP
 // reports into the engine's net::PollSet; ProgressAll() drains ready QPs
-// (decode -> dispatch), data-plane ops defer onto their target's
-// EngineScheduler run queue, and the scheduler's round-robin drain
-// executes them — same-dkey ops stay FIFO on their target while different
-// targets interleave — completing each deferred RpcContext with its reply.
-// Metadata ops answer inline from dispatch; ops that touch every target
-// (object punch, dkey enumeration) drain the xstreams first (a barrier),
-// so they observe every previously-issued op.
+// (decode -> dispatch), and the scheduler's round-robin drain executes the
+// deferred ops, completing each RpcContext with its reply. Every
+// target-routed op goes through one routing step: at dispatch it decodes
+// only the routing prefix (cont, oid, dkey, akey) and parks the request on
+// the dkey's EngineScheduler run queue; on that xstream the container is
+// looked up and the op's Exec* body decodes its own tail, stamps epochs and
+// moves bulk. Same-dkey ops stay FIFO on their target while different
+// targets interleave. Metadata ops answer inline from dispatch. The
+// barrier ops — object punch, dkey listing and the rebuild scan — touch
+// every target, so they drain the xstreams first and observe every
+// previously-issued op.
 #pragma once
 
 #include <atomic>
@@ -104,19 +108,10 @@ struct EngineConfig {
   /// thread (replies still serialize on the progress path). False: the
   /// deterministic single-threaded round-robin drain.
   bool xstream_workers = false;
-  /// Per-target submit-queue bound (threaded mode only).
-  std::size_t xstream_queue_depth = 256;
   /// False: no metric tree, no per-op latency stamping, no scheduler
   /// clock reads — the engine answers kTelemetryQuery with an empty
   /// snapshot. The instrumentation-overhead bench's control arm.
   bool telemetry = true;
-};
-
-struct EngineStats {
-  std::uint64_t updates = 0;
-  std::uint64_t fetches = 0;
-  std::uint64_t bulk_bytes_in = 0;
-  std::uint64_t bulk_bytes_out = 0;
 };
 
 class DaosEngine {
@@ -167,7 +162,11 @@ class DaosEngine {
   /// Direct VOS access for white-box tests (target introspection).
   Vos* target_vos(std::uint32_t target);
 
-  EngineStats stats() const;
+  /// Data-plane writes (updates + rebuild imports) and reads (fetches +
+  /// rebuild exports) executed — the engine/updates and engine/fetches
+  /// counters of the metric tree. Bulk bytes: server()->bulk_bytes_in/out.
+  std::uint64_t updates() const { return updates_.value(); }
+  std::uint64_t fetches() const { return fetches_.value(); }
 
   /// The engine's metric tree (empty when config.telemetry is false).
   /// Remote readers use kTelemetryQuery; in-process readers may snapshot
@@ -215,6 +214,17 @@ class DaosEngine {
   struct ObjAddr;  // common cont/oid/dkey/akey wire prefix (engine.cc)
   static Status DecodeObjAddr(rpc::Decoder& dec, ObjAddr* out);
 
+  /// Body of one target-routed op. Runs on the dkey's xstream with the
+  /// request's container resolved; `tail` reads the op-specific fields
+  /// that follow the ObjAddr prefix in the context's header (which lives
+  /// until completion).
+  using ExecFn = Result<Buffer> (DaosEngine::*)(
+      Container& cont, const ObjAddr& addr, rpc::Decoder& tail,
+      std::uint32_t target, rpc::RpcContext& ctx);
+  /// Decides from an op's tail, at dispatch, that the request is a
+  /// barrier: it runs inline once every queued op has executed.
+  using BarrierFn = bool (*)(rpc::Decoder tail);
+
   void RegisterHandlers();
   /// Builds the metric tree: links the engine/server/MR-cache counters,
   /// registers callback gauges over scheduler, poll-set, endpoint, and
@@ -226,63 +236,55 @@ class DaosEngine {
   Result<Container*> FindContainer(ContainerId id);
   std::uint32_t TargetOf(const ObjectId& oid, const std::string& dkey) const;
 
-  /// Parks a decoded request on `target`'s xstream. Takes the precomputed
-  /// index, not (oid, dkey): callers move the decoded address into the op
-  /// closure, so re-deriving the target here would read moved-from keys.
-  rpc::HandlerVerdict Defer(std::uint32_t target, rpc::RpcContextPtr ctx,
-                            EngineScheduler::OpFn op);
-  /// Answers `ctx` with `error` at the dispatch step (shared malformed-
-  /// header funnel for the Defer* handlers).
-  static rpc::HandlerVerdict CompleteWithError(rpc::RpcContextPtr ctx,
-                                               Status error);
+  /// The routing step of every target-routed op: decodes the ObjAddr
+  /// prefix (a malformed one is answered here), then parks the request on
+  /// TargetOf(oid, dkey)'s xstream, which looks up the container and runs
+  /// `exec`. A request `barrier` selects runs inline after a Quiesce.
+  rpc::HandlerVerdict Route(rpc::RpcContextPtr ctx, ExecFn exec,
+                            BarrierFn barrier);
 
-  // Dispatch-step decoders for target-routed data ops: decode the header,
-  // then park the context on the owning xstream (decode errors complete
-  // the context immediately).
-  rpc::HandlerVerdict DeferObjUpdate(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferObjFetch(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferSingleUpdate(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferSingleFetch(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferObjPunch(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferListAkeys(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferArraySize(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferAggregate(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferDkeyExport(rpc::RpcContextPtr ctx);
-  rpc::HandlerVerdict DeferDkeyImport(rpc::RpcContextPtr ctx);
+  // Target-routed op bodies (ExecFn).
+  Result<Buffer> ExecObjUpdate(Container& cont, const ObjAddr& addr,
+                               rpc::Decoder& tail, std::uint32_t target,
+                               rpc::RpcContext& ctx);
+  Result<Buffer> ExecObjFetch(Container& cont, const ObjAddr& addr,
+                              rpc::Decoder& tail, std::uint32_t target,
+                              rpc::RpcContext& ctx);
+  Result<Buffer> ExecSingleUpdate(Container& cont, const ObjAddr& addr,
+                                  rpc::Decoder& tail, std::uint32_t target,
+                                  rpc::RpcContext& ctx);
+  Result<Buffer> ExecSingleFetch(Container& cont, const ObjAddr& addr,
+                                 rpc::Decoder& tail, std::uint32_t target,
+                                 rpc::RpcContext& ctx);
+  Result<Buffer> ExecObjPunch(Container& cont, const ObjAddr& addr,
+                              rpc::Decoder& tail, std::uint32_t target,
+                              rpc::RpcContext& ctx);
+  Result<Buffer> ExecListAkeys(Container& cont, const ObjAddr& addr,
+                               rpc::Decoder& tail, std::uint32_t target,
+                               rpc::RpcContext& ctx);
+  Result<Buffer> ExecArraySize(Container& cont, const ObjAddr& addr,
+                               rpc::Decoder& tail, std::uint32_t target,
+                               rpc::RpcContext& ctx);
+  Result<Buffer> ExecAggregate(Container& cont, const ObjAddr& addr,
+                               rpc::Decoder& tail, std::uint32_t target,
+                               rpc::RpcContext& ctx);
+  Result<Buffer> ExecDkeyExport(Container& cont, const ObjAddr& addr,
+                                rpc::Decoder& tail, std::uint32_t target,
+                                rpc::RpcContext& ctx);
+  Result<Buffer> ExecDkeyImport(Container& cont, const ObjAddr& addr,
+                                rpc::Decoder& tail, std::uint32_t target,
+                                rpc::RpcContext& ctx);
 
-  // Execution bodies (run on the target xstream at drain time).
-  Result<Buffer> ExecObjUpdate(const ObjAddr& addr, std::uint64_t offset,
-                               std::uint32_t target, rpc::BulkIo& bulk);
-  Result<Buffer> ExecObjFetch(const ObjAddr& addr, std::uint64_t offset,
-                              std::uint64_t length, Epoch epoch,
-                              std::uint32_t target, rpc::BulkIo& bulk);
-  Result<Buffer> ExecSingleUpdate(const ObjAddr& addr, const Buffer& value,
-                                  std::uint32_t target);
-  Result<Buffer> ExecSingleFetch(const ObjAddr& addr, Epoch epoch,
-                                 std::uint32_t target);
-  Result<Buffer> ExecKeyPunch(const ObjAddr& addr, PunchScope scope,
-                              std::uint32_t target);
-
-  // Inline (metadata / barrier) handlers.
+  // Inline handlers (metadata ops; dkey listing and scan run as barriers).
   Result<Buffer> HandlePoolConnect(const Buffer& header);
   Result<Buffer> HandleContCreate(const Buffer& header);
   Result<Buffer> HandleContOpen(const Buffer& header);
   Result<Buffer> HandleOidAlloc(const Buffer& header);
-  Result<Buffer> HandleObjectPunch(const ObjAddr& addr);
   Result<Buffer> HandleListDkeys(const Buffer& header);
   Result<Buffer> HandleTelemetryQuery(const Buffer& header);
-  Result<Buffer> HandleObjScan();
-
-  // Rebuild bodies (run on the dkey's target xstream).
-  Result<Buffer> ExecDkeyExport(const ObjAddr& addr, std::uint32_t target);
-  Result<Buffer> ExecDkeyImport(const ObjAddr& addr, const Buffer& image,
-                                std::uint32_t target);
+  Result<Buffer> HandleObjScan(const Buffer& header);
 
   void ProgressThreadMain();
-  /// Barrier before ops that must observe every issued op (object punch,
-  /// dkey enumeration): serial = run the queues dry; threaded = quiesce
-  /// the workers and send their replies.
-  void DrainBarrier();
 
   EngineConfig config_;
   net::Endpoint* endpoint_ = nullptr;

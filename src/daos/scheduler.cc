@@ -16,7 +16,7 @@ EngineScheduler::EngineScheduler(std::uint32_t targets,
   if (threaded_) {
     xstreams_.reserve(targets);
     for (std::uint32_t t = 0; t < targets; ++t) {
-      xstreams_.push_back(std::make_unique<Xstream>(options.queue_capacity));
+      xstreams_.push_back(std::make_unique<Xstream>());
     }
   } else {
     queues_.resize(targets);

@@ -22,9 +22,12 @@
 //    thread's tick — performs RpcContext::Complete there, so reply
 //    serialization stays on the network progress path (CaRT's rule).
 //
-// Epoch stamping, container lookup, and bulk movement all happen at
-// execution time on the target's stream, exactly like a ULT body; the
-// decode step only routed the request here.
+// The engine's dispatch step decodes only a request's routing prefix
+// (cont, oid, dkey, akey) to pick the target; the op body that runs here
+// decodes its own tail, looks up the container, stamps epochs and moves
+// bulk — all at execution time on the target's stream, exactly like a ULT
+// body. The barrier ops (object punch, dkey listing, rebuild scan) call
+// Quiesce() first and then run on the dispatch thread.
 #pragma once
 
 #include <atomic>
@@ -47,8 +50,6 @@ struct EngineSchedulerOptions {
   /// false: single-threaded round-robin drain (deterministic).
   /// true: one worker thread per target + completion hand-off.
   bool threaded = false;
-  /// Per-target submit-queue bound (threaded mode; backpressures Enqueue).
-  std::size_t queue_capacity = Xstream::kDefaultQueueCapacity;
   /// Stamp execution start/end on each context and accumulate per-target
   /// busy time (two clock reads per op). The engine wires this to
   /// EngineConfig::telemetry so an uninstrumented engine pays nothing.

@@ -44,7 +44,7 @@ class DaosBatchTest : public ::testing::TestWithParam<net::Transport> {
   std::uint64_t TotalUpdates() const {
     std::uint64_t n = 0;
     for (const auto& engine : cluster_->engines()) {
-      n += engine->stats().updates;
+      n += engine->updates();
     }
     return n;
   }

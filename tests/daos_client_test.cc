@@ -92,8 +92,8 @@ TEST_P(DaosClientTest, UpdateFetchRoundTripLargeBulk) {
   ASSERT_TRUE(client_->Fetch(cont_, *oid, "dk", "ak", 0, out).ok());
   EXPECT_EQ(out, data);
   // Bulk bytes really moved through the engine.
-  EXPECT_GE(engine_->stats().bulk_bytes_in, data.size());
-  EXPECT_GE(engine_->stats().bulk_bytes_out, data.size());
+  EXPECT_GE(engine_->server()->bulk_bytes_in(), data.size());
+  EXPECT_GE(engine_->server()->bulk_bytes_out(), data.size());
 }
 
 TEST_P(DaosClientTest, EpochSnapshotFetch) {

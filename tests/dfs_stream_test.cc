@@ -50,7 +50,7 @@ class DfsStreamTest : public ::testing::Test {
 
 TEST_F(DfsStreamTest, TinyAppendsBatchIntoFewUpdates) {
   const Fd fd = OpenFile("/batched");
-  const auto updates_before = engine_->stats().updates;
+  const auto updates_before = engine_->updates();
   {
     DfsOutputStream out(dfs_.get(), fd);
     Buffer piece(100);
@@ -62,7 +62,7 @@ TEST_F(DfsStreamTest, TinyAppendsBatchIntoFewUpdates) {
     EXPECT_EQ(out.offset(), 100'000u);
   }
   // 100 KB / 256 KiB buffer -> exactly 1 data flush (plus size metadata).
-  const auto update_rpcs = engine_->stats().updates - updates_before;
+  const auto update_rpcs = engine_->updates() - updates_before;
   EXPECT_LE(update_rpcs, 4u) << "batching failed: " << update_rpcs
                              << " updates for 1000 appends";
 

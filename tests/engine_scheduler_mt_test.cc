@@ -293,7 +293,7 @@ TEST_F(ThreadedEngineTest, SameDkeyFifoHoldsWithRealWorkers) {
     EXPECT_GT(*epoch, last) << "update " << i << " executed out of order";
     last = *epoch;
   }
-  EXPECT_EQ(engine_->stats().updates, std::uint64_t(kUpdates));
+  EXPECT_EQ(engine_->updates(), std::uint64_t(kUpdates));
 
   rpc::Encoder fetch;
   fetch.U64(*cont).U64(oid.hi).U64(oid.lo).Str("hot-dkey").Str("a");
@@ -334,7 +334,7 @@ TEST_F(ThreadedEngineTest, ProgressThreadServesClientsWithoutAPump) {
     auto reply = client->Take(id);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   }
-  EXPECT_EQ(engine_->stats().updates, std::uint64_t(kOps));
+  EXPECT_EQ(engine_->updates(), std::uint64_t(kOps));
 
   // Barrier op (dkey enumeration) answered by the progress thread too.
   // Wire format: obj addr + paging marker/limit ("" + 0 = everything).

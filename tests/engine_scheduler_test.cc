@@ -1,11 +1,14 @@
 // EngineScheduler + engine pipeline tests: per-target FIFO with
 // round-robin interleave across targets, multi-QP fairness through one
-// DaosEngine::ProgressAll() tick, and the validating DaosEngine::Create
-// factory (targets == 0 regression).
+// DaosEngine::ProgressAll() tick, the validating DaosEngine::Create
+// factory (targets == 0 regression), and the engine's answers to
+// malformed or invalid requests (every target-routed opcode, serial and
+// threaded).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/bytes.h"
@@ -22,6 +25,14 @@ namespace ros2::daos {
 namespace {
 
 constexpr std::span<const std::byte> kNoHeader{};
+
+/// The ObjAddr routing prefix every target-routed request starts with.
+rpc::Encoder AddrHeader(ContainerId cont, const ObjectId& oid,
+                        const std::string& dkey, const std::string& akey) {
+  rpc::Encoder enc;
+  enc.U64(cont).U64(oid.hi).U64(oid.lo).Str(dkey).Str(akey);
+  return enc;
+}
 
 // ------------------------------------------------- scheduler unit tests
 
@@ -183,6 +194,19 @@ class EnginePipelineTest : public ::testing::Test {
     return enc;
   }
 
+  /// HEAD read of akey "a" (the one SingleUpdateHeader writes).
+  static Result<Buffer> FetchSingle(rpc::RpcClient* client, ContainerId cont,
+                                    const ObjectId& oid,
+                                    const std::string& dkey) {
+    rpc::Encoder enc = AddrHeader(cont, oid, dkey, "a");
+    enc.U64(kEpochHead);
+    ROS2_ASSIGN_OR_RETURN(
+        rpc::RpcReply reply,
+        client->Call(std::uint32_t(DaosOpcode::kSingleFetch), enc));
+    rpc::Decoder dec(reply.header);
+    return dec.Bytes();
+  }
+
   std::unique_ptr<Cluster> cluster_;
   net::Fabric* fabric_ = nullptr;
   DaosEngine* engine_ = nullptr;
@@ -258,8 +282,7 @@ TEST_F(EnginePipelineTest, OneProgressTickServicesAllClientsFairly) {
       ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     }
   }
-  EXPECT_EQ(engine_->stats().updates,
-            std::uint64_t(kClients) * kCallsPerClient);
+  EXPECT_EQ(engine_->updates(), std::uint64_t(kClients) * kCallsPerClient);
 }
 
 TEST_F(EnginePipelineTest, DeferredOpsLandOnTheirDkeysTargets) {
@@ -346,6 +369,216 @@ TEST_F(EnginePipelineTest, SameDkeyOpsStayFifoAcrossThePipeline) {
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, values.back());
 }
+
+TEST_F(EnginePipelineTest, UnknownPunchScopeIsRejectedAndKeepsTheValue) {
+  auto client = NewClient(11);
+  auto cont = CreateContainer(client.get(), "punch-scope");
+  ASSERT_TRUE(cont.ok());
+  const ObjectId oid{1, 77};
+  const Buffer value = MakePatternBuffer(48, 3);
+  ASSERT_TRUE(client
+                  ->Call(std::uint32_t(DaosOpcode::kSingleUpdate),
+                         SingleUpdateHeader(*cont, oid, "d", value))
+                  .ok());
+
+  rpc::Encoder punch = AddrHeader(*cont, oid, "d", "a");
+  punch.U8(7);  // outside PunchScope
+  auto punched = client->Call(std::uint32_t(DaosOpcode::kObjPunch), punch);
+  EXPECT_EQ(punched.status().code(), ErrorCode::kInvalidArgument)
+      << "an unknown scope must not run as an akey punch";
+
+  auto read = FetchSingle(client.get(), *cont, oid, "d");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, value);
+}
+
+TEST_F(EnginePipelineTest, RejectedDkeyImportKeepsTheOldValue) {
+  auto client = NewClient(12);
+  auto cont = CreateContainer(client.get(), "import");
+  ASSERT_TRUE(cont.ok());
+  const ObjectId oid{1, 78};
+  const Buffer value = MakePatternBuffer(48, 4);
+  const Buffer other = MakePatternBuffer(48, 5);
+  ASSERT_TRUE(client
+                  ->Call(std::uint32_t(DaosOpcode::kSingleUpdate),
+                         SingleUpdateHeader(*cont, oid, "d", value))
+                  .ok());
+
+  // Count 2, one entry: the image ends early.
+  rpc::Encoder truncated;
+  truncated.U32(2).Str("a").U8(std::uint8_t(ValueType::kSingle)).Bytes(other);
+  // One entry whose ValueType byte is neither kSingle nor kArray.
+  rpc::Encoder bad_type;
+  bad_type.U32(1).Str("a").U8(9).Bytes(other);
+  struct Case {
+    const char* what;
+    const rpc::Encoder* image;
+    ErrorCode code;
+  };
+  for (const Case& c : {Case{"truncated", &truncated, ErrorCode::kDataLoss},
+                        Case{"unknown type", &bad_type,
+                             ErrorCode::kInvalidArgument}}) {
+    rpc::Encoder import = AddrHeader(*cont, oid, "d", "");
+    import.Bytes(c.image->buffer());
+    auto reply = client->Call(std::uint32_t(DaosOpcode::kDkeyImport), import);
+    EXPECT_EQ(reply.status().code(), c.code) << c.what;
+    auto read = FetchSingle(client.get(), *cont, oid, "d");
+    ASSERT_TRUE(read.ok()) << c.what << ": " << read.status().ToString();
+    EXPECT_EQ(*read, value) << c.what << ": rejected import touched the dkey";
+  }
+
+  // A well-formed image still replaces the dkey.
+  rpc::Encoder good;
+  good.U32(1).Str("a").U8(std::uint8_t(ValueType::kSingle)).Bytes(other);
+  rpc::Encoder import = AddrHeader(*cont, oid, "d", "");
+  import.Bytes(good.buffer());
+  auto reply = client->Call(std::uint32_t(DaosOpcode::kDkeyImport), import);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto read = FetchSingle(client.get(), *cont, oid, "d");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, other);
+}
+
+// ------------------------------------- malformed target-routed requests
+
+/// Every target-routed opcode x {serial, threaded engine}: a header cut
+/// off inside the ObjAddr prefix and one cut off inside the op tail both
+/// get a DATA_LOSS reply, and the QP keeps serving afterwards.
+class EngineMalformedRequestTest
+    : public ::testing::TestWithParam<std::tuple<DaosOpcode, bool>> {
+ protected:
+  static constexpr ObjectId kOid{1, 9};
+
+  /// A well-formed request on the seeded dkey "d": the header, the size
+  /// of its ObjAddr prefix (the rest is the op tail), and its bulk.
+  struct Request {
+    Buffer header;
+    std::size_t prefix_len = 0;
+    rpc::CallOptions options;
+  };
+
+  void SetUp() override {
+    ClusterSpec spec;
+    spec.engine.address = "fabric://malformed-engine";
+    spec.engine.targets = 4;
+    spec.engine.scm_per_target = 16 * kMiB;
+    spec.engine.xstream_workers = std::get<1>(GetParam());
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    cluster_ = std::move(*cluster);
+    DaosEngine* engine = cluster_->engine(0);
+    auto ep = cluster_->fabric()->CreateEndpoint("fabric://malformed-client");
+    ASSERT_TRUE(ep.ok());
+    auto qp = (*ep)->Connect(engine->endpoint(), net::Transport::kRdma,
+                             (*ep)->AllocPd(), engine->pd());
+    ASSERT_TRUE(qp.ok());
+    client_ = std::make_unique<rpc::RpcClient>(
+        *qp, *ep, [engine] { (void)engine->ProgressAll(); });
+
+    rpc::Encoder create;
+    create.Str("malformed");
+    auto created = client_->Call(std::uint32_t(DaosOpcode::kContCreate),
+                                 create);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    rpc::Decoder dec(created->header);
+    auto id = dec.U64();
+    ASSERT_TRUE(id.ok());
+    cont_ = *id;
+    // Seed dkey "d": a single value "s" and a 64-byte array "arr".
+    rpc::Encoder single = AddrHeader(cont_, kOid, "d", "s");
+    single.Bytes(payload_);
+    ASSERT_TRUE(
+        client_->Call(std::uint32_t(DaosOpcode::kSingleUpdate), single).ok());
+    Request update = Valid(DaosOpcode::kObjUpdate);
+    ASSERT_TRUE(client_
+                    ->Call(std::uint32_t(DaosOpcode::kObjUpdate),
+                           update.header, update.options)
+                    .ok());
+  }
+
+  Request Valid(DaosOpcode op) {
+    const bool single = op == DaosOpcode::kSingleUpdate ||
+                        op == DaosOpcode::kSingleFetch ||
+                        op == DaosOpcode::kObjPunch;
+    rpc::Encoder enc = AddrHeader(cont_, kOid, "d", single ? "s" : "arr");
+    Request req;
+    req.prefix_len = enc.buffer().size();
+    switch (op) {
+      case DaosOpcode::kObjUpdate:
+        enc.U64(0);
+        req.options.send_bulk = payload_;
+        break;
+      case DaosOpcode::kObjFetch:
+        enc.U64(0).U64(window_.size()).U64(kEpochHead);
+        req.options.recv_bulk = window_;
+        break;
+      case DaosOpcode::kSingleUpdate:
+        enc.Bytes(payload_);
+        break;
+      case DaosOpcode::kSingleFetch:
+      case DaosOpcode::kArraySize:
+      case DaosOpcode::kAggregate:
+        enc.U64(kEpochHead);
+        break;
+      case DaosOpcode::kObjPunch:
+        enc.U8(std::uint8_t(PunchScope::kAkey));
+        break;
+      case DaosOpcode::kDkeyImport: {
+        rpc::Encoder empty_image;
+        empty_image.U32(0);
+        enc.Bytes(empty_image.buffer());
+        break;
+      }
+      default:  // kListAkeys, kDkeyExport: the prefix is the whole header
+        break;
+    }
+    req.header = enc.Take();
+    return req;
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<rpc::RpcClient> client_;
+  ContainerId cont_ = 0;
+  Buffer payload_ = MakePatternBuffer(64, 6);
+  Buffer window_ = Buffer(64);
+};
+
+TEST_P(EngineMalformedRequestTest, TruncatedHeaderGetsDataLossQpStaysUp) {
+  const DaosOpcode op = std::get<0>(GetParam());
+  const Request req = Valid(op);
+  // Inside the oid, inside the akey string, and (when the op has one)
+  // inside the op tail.
+  std::vector<std::size_t> cuts = {req.prefix_len / 2, req.prefix_len - 1};
+  if (req.header.size() > req.prefix_len) {
+    cuts.push_back(req.header.size() - 1);
+  }
+  for (std::size_t cut : cuts) {
+    auto reply = client_->Call(
+        std::uint32_t(op),
+        std::span<const std::byte>(req.header.data(), cut), req.options);
+    EXPECT_EQ(reply.status().code(), ErrorCode::kDataLoss)
+        << "cut at " << cut << " of " << req.header.size() << ": "
+        << reply.status().ToString();
+  }
+  auto reply = client_->Call(std::uint32_t(op), req.header, req.options);
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_TRUE(cluster_->engine(0)->scheduler().idle());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TargetRoutedOps, EngineMalformedRequestTest,
+    ::testing::Combine(
+        ::testing::Values(DaosOpcode::kObjUpdate, DaosOpcode::kObjFetch,
+                          DaosOpcode::kSingleUpdate,
+                          DaosOpcode::kSingleFetch, DaosOpcode::kObjPunch,
+                          DaosOpcode::kListAkeys, DaosOpcode::kArraySize,
+                          DaosOpcode::kAggregate, DaosOpcode::kDkeyExport,
+                          DaosOpcode::kDkeyImport),
+        ::testing::Bool()),
+    [](const auto& info) {
+      return DaosOpcodeName(std::uint32_t(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_threaded" : "_serial");
+    });
 
 }  // namespace
 }  // namespace ros2::daos

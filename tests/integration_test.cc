@@ -179,9 +179,8 @@ TEST_F(IntegrationTest, EngineUnchangedAcrossDeployments) {
   ASSERT_TRUE(f1.ok() && f2.ok());
   ASSERT_TRUE(host->Pwrite(*f1, 0, MakePatternBuffer(kMiB, 1)).ok());
   ASSERT_TRUE(dpu->Pwrite(*f2, 0, MakePatternBuffer(kMiB, 2)).ok());
-  const auto stats = cluster_->engine()->stats();
-  EXPECT_GT(stats.updates, 0u);
-  EXPECT_GE(stats.bulk_bytes_in, 2 * kMiB);
+  EXPECT_GT(cluster_->engine()->updates(), 0u);
+  EXPECT_GE(cluster_->engine()->server()->bulk_bytes_in(), 2 * kMiB);
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ TEST_P(MultiEngineTest, RoundTripAcrossEngines) {
   }
   int populated = 0;
   for (auto& engine : engines_) {
-    std::uint64_t updates = engine->stats().updates;
+    std::uint64_t updates = engine->updates();
     if (updates > 0) ++populated;
   }
   EXPECT_EQ(populated, kEngines) << "placement failed to spread dkeys";

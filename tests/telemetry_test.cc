@@ -445,9 +445,8 @@ TEST(EngineTelemetryTest, ExistingStatsAreViewsOverTheTree) {
   ASSERT_TRUE(snap.ok());
   // One source of truth: the snapshot reads the same counter objects the
   // legacy accessors fold, so they must agree exactly.
-  const daos::EngineStats stats = h->engine->stats();
-  EXPECT_EQ(snap->ValueOr("engine/updates", 1), stats.updates);
-  EXPECT_EQ(snap->ValueOr("engine/fetches", 1), stats.fetches);
+  EXPECT_EQ(snap->ValueOr("engine/updates", 1), h->engine->updates());
+  EXPECT_EQ(snap->ValueOr("engine/fetches", 1), h->engine->fetches());
   EXPECT_EQ(snap->ValueOr("rpc/requests_served", 0), served_before);
   EXPECT_EQ(server->requests_served(), served_before + 1);
   EXPECT_EQ(snap->ValueOr("rpc/requests_deferred", 0),
@@ -507,8 +506,8 @@ TEST(EngineTelemetryTest, DisabledTelemetryAnswersEmptyAndStillCounts) {
   EXPECT_TRUE(snap->traces.empty());
   // The legacy accessors still count — they own the counters; only the
   // tree wiring (and per-op latency stamping) is off.
-  EXPECT_EQ(h->engine->stats().updates, std::uint64_t(kOps));
-  EXPECT_EQ(h->engine->stats().fetches, std::uint64_t(kOps));
+  EXPECT_EQ(h->engine->updates(), std::uint64_t(kOps));
+  EXPECT_EQ(h->engine->fetches(), std::uint64_t(kOps));
   EXPECT_FALSE(h->engine->scheduler().time_ops());
   EXPECT_EQ(h->engine->scheduler().busy_ns(), 0u);
   EXPECT_EQ(h->engine->published_snapshot().status().code(),
