@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/paired.h"
 #include "bench/registry.h"
 #include "common/bytes.h"
 #include "common/table.h"
@@ -274,12 +275,10 @@ ROS2_BENCH_EXPERIMENT(micro_dfs,
   // throughput drifts between reps). The gate takes the best per-rep
   // ratio; the table shows that rep's actual rates.
   bool all_ok = true;
-  double best_loader_batched = 0.0;
-  double best_loader_sequential = 0.0;
-  double loader_ratio = 0.0;
-  CheckpointRates best_ckpt_batched;
-  CheckpointRates best_ckpt_sequential;
-  double ckpt_ratio = 0.0;
+  bench::Pairs loader;  // files/s: a = batched, b = sequential
+  bench::Pairs ckpt;    // combined MiB/s: a = batched, b = sequential
+  std::vector<CheckpointRates> ckpt_batched;
+  std::vector<CheckpointRates> ckpt_sequential;
   for (int rep = 0; rep < repetitions; ++rep) {
     DfsHarness h(rep);
     if (!h.ok) {
@@ -295,28 +294,30 @@ ROS2_BENCH_EXPERIMENT(micro_dfs,
     (void)DataloaderEpochRate(h.batched.get(), files, 1, &all_ok);
     const double loader_batched =
         DataloaderEpochRate(h.batched.get(), files, epochs, &all_ok);
-    const double loader_sequential =
-        DataloaderEpochRate(h.sequential.get(), files, epochs, &all_ok);
-    if (loader_sequential > 0.0 &&
-        loader_batched / loader_sequential > loader_ratio) {
-      loader_ratio = loader_batched / loader_sequential;
-      best_loader_batched = loader_batched;
-      best_loader_sequential = loader_sequential;
-    }
+    loader.Add(loader_batched, DataloaderEpochRate(h.sequential.get(), files,
+                                                   epochs, &all_ok));
 
-    const CheckpointRates ckpt_batched = CheckpointRate(
-        h.batched.get(), "/ckpt-batched.bin", checkpoint_bytes, &all_ok);
-    const CheckpointRates ckpt_sequential =
+    ckpt_batched.push_back(CheckpointRate(
+        h.batched.get(), "/ckpt-batched.bin", checkpoint_bytes, &all_ok));
+    ckpt_sequential.push_back(
         CheckpointRate(h.sequential.get(), "/ckpt-sequential.bin",
-                       checkpoint_bytes, &all_ok);
-    if (ckpt_sequential.combined_mibs > 0.0 &&
-        ckpt_batched.combined_mibs / ckpt_sequential.combined_mibs >
-            ckpt_ratio) {
-      ckpt_ratio = ckpt_batched.combined_mibs / ckpt_sequential.combined_mibs;
-      best_ckpt_batched = ckpt_batched;
-      best_ckpt_sequential = ckpt_sequential;
-    }
+                       checkpoint_bytes, &all_ok));
+    ckpt.Add(ckpt_batched.back().combined_mibs,
+             ckpt_sequential.back().combined_mibs);
   }
+  // BestPair() is size() when no rep measured a ratio; a(), b() and
+  // Ratio() read 0 there.
+  const std::size_t loader_best = loader.BestPair();
+  const double loader_ratio = loader.Ratio(loader_best);
+  const double best_loader_batched = loader.a(loader_best);
+  const double best_loader_sequential = loader.b(loader_best);
+  const std::size_t ckpt_best = ckpt.BestPair();
+  const double ckpt_ratio = ckpt.Ratio(ckpt_best);
+  const CheckpointRates none;
+  const CheckpointRates& best_ckpt_batched =
+      ckpt_best < ckpt.size() ? ckpt_batched[ckpt_best] : none;
+  const CheckpointRates& best_ckpt_sequential =
+      ckpt_best < ckpt.size() ? ckpt_sequential[ckpt_best] : none;
 
   AsciiTable table({"scenario", "sequential", "batched", "ratio"});
   auto add_row = [&table](const std::string& name, double seq, double fast,

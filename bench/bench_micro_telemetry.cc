@@ -14,13 +14,12 @@
 // The whole report is realtime-tagged: wall-clock rates churn by machine,
 // so benchctl keeps this section out of EXPERIMENTS.md and the committed
 // baseline. The overhead RATIO check is what gates.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "bench/paired.h"
 #include "bench/registry.h"
 #include "common/bytes.h"
 #include "common/table.h"
@@ -118,36 +117,30 @@ ROS2_BENCH_EXPERIMENT(micro_telemetry,
   constexpr double kGate = 0.90;
 
   bool all_ok = true;
-  double seconds_on = 0.0;
-  double seconds_off = 0.0;
-  std::vector<double> ratios;
-  auto run_pairs = [&](int count, int base) {
+  bench::Pairs seconds;  // a = telemetry off, b = on; a/b = rate on/off
+  auto run_pairs = [&](int count) {
     for (int pair = 0; pair < count; ++pair) {
-      const double off = EngineSeconds(false, iters, base + pair, &all_ok);
-      const double on = EngineSeconds(true, iters, base + pair, &all_ok);
-      seconds_off += off;
-      seconds_on += on;
-      ratios.push_back(on > 0.0 ? off / on : 0.0);  // rate_on / rate_off
+      const int rep = int(seconds.size());
+      const double off = EngineSeconds(false, iters, rep, &all_ok);
+      const double on = EngineSeconds(true, iters, rep, &all_ok);
+      seconds.Add(off, on);
     }
   };
-  auto median = [&ratios] {
-    std::vector<double> sorted = ratios;
-    std::sort(sorted.begin(), sorted.end());
-    return sorted.empty() ? 0.0 : sorted[sorted.size() / 2];
-  };
-  run_pairs(pairs, 0);
-  double ratio = median();
+  run_pairs(pairs);
+  double ratio = seconds.MedianRatio();
   if (all_ok && ratio < kGate) {
     // A sub-gate first median on a ~6%-overhead change is usually ambient
     // noise that landed asymmetrically; one re-measure (gating the median
     // of ALL pairs) separates a real regression from a bad minute.
     ctx.Note("first-round overhead median below gate; re-measuring");
-    run_pairs(pairs, pairs);
-    ratio = median();
+    run_pairs(pairs);
+    ratio = seconds.MedianRatio();
   }
-  const double total_ops = 2.0 * double(iters) * double(ratios.size());
-  const double rate_off = seconds_off > 0.0 ? total_ops / seconds_off : 0.0;
-  const double rate_on = seconds_on > 0.0 ? total_ops / seconds_on : 0.0;
+  const double total_ops = 2.0 * double(iters) * double(seconds.size());
+  const double rate_off =
+      seconds.SumA() > 0.0 ? total_ops / seconds.SumA() : 0.0;
+  const double rate_on =
+      seconds.SumB() > 0.0 ? total_ops / seconds.SumB() : 0.0;
 
   AsciiTable table({"arm", "ops/s", "vs uninstrumented"});
   table.AddRow({"telemetry off", FormatCount(rate_off) + "ops/s", "1.00"});

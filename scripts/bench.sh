@@ -117,6 +117,7 @@ MODEL_BENCHES=(
   bench_micro_mt
   bench_micro_rebuild
   bench_micro_telemetry
+  bench_micro_vos
 )
 
 QUICK_FLAG=""

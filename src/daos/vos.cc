@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "common/crc.h"
 
@@ -23,7 +24,13 @@ Vos::~Vos() = default;
 Result<Vos::ValueLoc> Vos::Store(std::span<const std::byte> data) {
   ValueLoc loc;
   loc.logical_len = data.size();
-  loc.crc = config_.checksums ? Crc32c(data) : 0;
+  if (config_.checksums) {
+    loc.csums.reserve((data.size() + kCsumChunk - 1) / kCsumChunk);
+    for (std::uint64_t pos = 0; pos < data.size(); pos += kCsumChunk) {
+      loc.csums.push_back(Crc32c(data.subspan(
+          pos, std::min<std::uint64_t>(kCsumChunk, data.size() - pos))));
+    }
+  }
   if (data.size() <= config_.scm_threshold) {
     loc.tier = ValueLoc::Tier::kScm;
     ROS2_ASSIGN_OR_RETURN(loc.scm_handle,
@@ -31,7 +38,10 @@ Result<Vos::ValueLoc> Vos::Store(std::span<const std::byte> data) {
     loc.length = data.size();
     if (!data.empty()) {
       auto span = scm_->Deref(loc.scm_handle);
-      if (!span.ok()) return span.status();
+      if (!span.ok()) {
+        (void)scm_->Free(loc.scm_handle);
+        return span.status();
+      }
       std::memcpy(span->data(), data.data(), data.size());
     }
     ++stats_.scm_records;
@@ -39,37 +49,100 @@ Result<Vos::ValueLoc> Vos::Store(std::span<const std::byte> data) {
   } else {
     loc.tier = ValueLoc::Tier::kNvme;
     const std::uint32_t lba = nvme_->block_size();
+    const std::uint64_t body = data.size() / lba * lba;
     const std::uint64_t padded = (data.size() + lba - 1) / lba * lba;
     ROS2_ASSIGN_OR_RETURN(loc.nvme_offset, nvme_alloc_.Alloc(padded));
     loc.length = padded;
-    // Pad the tail block; the logical length masks the padding on load.
-    Buffer staged(padded);
-    std::memcpy(staged.data(), data.data(), data.size());
-    ROS2_RETURN_IF_ERROR(nvme_->Write(loc.nvme_offset, staged));
+    // The LBA-aligned body goes straight from the caller's span; only the
+    // tail block is bounced to pad it (the logical length masks the
+    // padding on load).
+    Status written =
+        body > 0 ? nvme_->Write(loc.nvme_offset, data.first(body))
+                 : Status::Ok();
+    if (written.ok() && body < padded) {
+      Buffer tail(lba);
+      std::memcpy(tail.data(), data.data() + body, data.size() - body);
+      written = nvme_->Write(loc.nvme_offset + body, tail);
+    }
+    if (!written.ok()) {
+      (void)nvme_alloc_.Free(loc.nvme_offset);
+      return written;
+    }
     ++stats_.nvme_records;
     stats_.bytes_in_nvme += padded;
   }
   return loc;
 }
 
-Status Vos::Load(const ValueLoc& loc, std::span<std::byte> out) const {
-  if (out.size() != loc.logical_len) {
-    return Internal("loc load size mismatch");
+Status Vos::Load(const ValueLoc& loc, std::uint64_t offset,
+                 std::span<std::byte> out) const {
+  if (offset > loc.logical_len || out.size() > loc.logical_len - offset) {
+    return Internal("record load out of range");
   }
-  if (loc.tier == ValueLoc::Tier::kScm) {
+  const bool scm = loc.tier == ValueLoc::Tier::kScm;
+  std::span<const std::byte> pmem;
+  if (scm && !out.empty()) {
     auto span = scm_->Deref(loc.scm_handle);
     if (!span.ok()) return span.status();
-    std::memcpy(out.data(), span->data(), loc.logical_len);
-  } else {
-    Buffer staged(loc.length);
-    ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset, staged));
-    std::memcpy(out.data(), staged.data(), loc.logical_len);
+    pmem = *span;
   }
-  if (config_.checksums) {
-    const std::uint32_t crc = Crc32c(out);
-    if (crc != loc.crc) {
+  const std::uint64_t end = offset + out.size();
+  const std::uint64_t lba = scm ? 1 : nvme_->block_size();
+  auto chunk_end = [&](std::uint64_t pos) {
+    return std::min(pos + kCsumChunk, loc.logical_len);
+  };
+  auto verify = [&](std::uint64_t pos, std::span<const std::byte> chunk) {
+    if (config_.checksums && Crc32c(chunk) != loc.csums[pos / kCsumChunk]) {
       return DataLoss("extent checksum mismatch (end-to-end CRC-32C)");
     }
+    return Status::Ok();
+  };
+  // A chunk is read in place when the caller wants all of it and its
+  // stored bytes carry no LBA padding to strip.
+  auto in_place = [&](std::uint64_t pos) {
+    const std::uint64_t e = chunk_end(pos);
+    return pos >= offset && e <= end && e % lba == 0;
+  };
+  std::unique_ptr<std::byte[]> bounce;  // one chunk, for partial chunks
+  std::uint64_t pos = offset / kCsumChunk * kCsumChunk;
+  while (pos < end) {
+    if (in_place(pos)) {
+      std::uint64_t stop = pos;
+      while (stop < end && in_place(stop)) stop = chunk_end(stop);
+      const std::span<std::byte> dst = out.subspan(pos - offset, stop - pos);
+      if (scm) {
+        std::memcpy(dst.data(), pmem.data() + pos, dst.size());
+      } else {
+        ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset + pos, dst));
+      }
+      for (std::uint64_t c = pos; c < stop; c += kCsumChunk) {
+        ROS2_RETURN_IF_ERROR(
+            verify(c, dst.subspan(c - pos, chunk_end(c) - c)));
+      }
+      pos = stop;
+      continue;
+    }
+    // Head or tail chunk the caller wants only part of, or the padded last
+    // chunk: verify all of it, copy the wanted slice. SCM is byte-
+    // addressable, so it is checked where it lies.
+    const std::uint64_t e = chunk_end(pos);
+    std::span<const std::byte> chunk;
+    if (scm) {
+      chunk = pmem.subspan(pos, e - pos);
+    } else {
+      if (!bounce) {
+        bounce = std::make_unique_for_overwrite<std::byte[]>(kCsumChunk);
+      }
+      const std::span<std::byte> stored(
+          bounce.get(), std::min(pos + kCsumChunk, loc.length) - pos);
+      ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset + pos, stored));
+      chunk = stored.first(e - pos);
+    }
+    ROS2_RETURN_IF_ERROR(verify(pos, chunk));
+    const std::uint64_t lo = std::max(pos, offset);
+    const std::uint64_t hi = std::min(e, end);
+    std::memcpy(out.data() + (lo - offset), chunk.data() + (lo - pos), hi - lo);
+    pos = e;
   }
   return Status::Ok();
 }
@@ -149,24 +222,15 @@ Status Vos::FetchArray(const ObjectId& oid, const std::string& dkey,
   // being applied last.
   for (const ArrayRecord& rec : (*value)->records) {
     if (epoch != kEpochHead && rec.epoch > epoch) continue;
-    if (rec.punch) {
-      const std::uint64_t lo = std::max(rec.extent.offset, want.offset);
-      const std::uint64_t hi = std::min(rec.extent.end(), want.end());
-      if (lo < hi) {
-        std::memset(out.data() + (lo - want.offset), 0, hi - lo);
-      }
-      continue;
-    }
-    if (!rec.extent.Overlaps(want)) continue;
-    // Load the whole stored extent so the record CRC can be verified, then
-    // copy the overlapping slice (DAOS verifies per-chunk checksums the
-    // same way).
-    Buffer staged(rec.loc.logical_len);
-    ROS2_RETURN_IF_ERROR(Load(rec.loc, staged));
     const std::uint64_t lo = std::max(rec.extent.offset, want.offset);
     const std::uint64_t hi = std::min(rec.extent.end(), want.end());
-    std::memcpy(out.data() + (lo - want.offset),
-                staged.data() + (lo - rec.extent.offset), hi - lo);
+    if (lo >= hi) continue;
+    if (rec.punch) {
+      std::memset(out.data() + (lo - want.offset), 0, hi - lo);
+      continue;
+    }
+    ROS2_RETURN_IF_ERROR(Load(rec.loc, lo - rec.extent.offset,
+                              out.subspan(lo - want.offset, hi - lo)));
   }
   ++stats_.fetches;
   return Status::Ok();
@@ -223,7 +287,7 @@ Result<Buffer> Vos::FetchSingle(const ObjectId& oid, const std::string& dkey,
     return Status(NotFound("no visible value at epoch"));
   }
   Buffer out(visible->loc.logical_len);
-  ROS2_RETURN_IF_ERROR(Load(visible->loc, out));
+  ROS2_RETURN_IF_ERROR(Load(visible->loc, 0, out));
   return out;
 }
 
@@ -356,43 +420,30 @@ Status Vos::AggregateArray(const ObjectId& oid, const std::string& dkey,
   if (value.records.empty()) return Status::Ok();
 
   ROS2_ASSIGN_OR_RETURN(std::uint64_t size, ArraySize(oid, dkey, akey, upto));
-  if (size == 0) {
-    // Nothing visible at `upto`: drop the records it covers, but records
-    // newer than the aggregation point must survive untouched.
-    std::vector<ArrayRecord> survivors;
-    for (auto& rec : value.records) {
-      if (upto != kEpochHead && rec.epoch > upto) {
-        survivors.push_back(std::move(rec));
-      } else {
-        Release(rec.loc);
-      }
-    }
-    value.records = std::move(survivors);
-    return Status::Ok();
+  // Rebuild the log as one flat record of the visible state at `upto`
+  // (none when nothing is visible) plus every record newer than `upto`.
+  // The flat record is stored before anything is released, so a failed
+  // store leaves the old records, and every acknowledged byte, in place.
+  std::vector<ArrayRecord> records;
+  if (size > 0) {
+    Buffer flat(size);
+    ROS2_RETURN_IF_ERROR(FetchArray(oid, dkey, akey, upto, 0, flat));
+    ArrayRecord merged;
+    merged.extent = {0, size};
+    ROS2_ASSIGN_OR_RETURN(merged.loc, Store(flat));
+    records.push_back(std::move(merged));
   }
-  // Materialize the visible state at `upto`, then rebuild the log as one
-  // flat record plus any records newer than `upto`.
-  Buffer flat(size);
-  ROS2_RETURN_IF_ERROR(FetchArray(oid, dkey, akey, upto, 0, flat));
-
-  std::vector<ArrayRecord> survivors;
   Epoch flat_epoch = 0;
   for (auto& rec : value.records) {
     if (upto != kEpochHead && rec.epoch > upto) {
-      survivors.push_back(std::move(rec));
+      records.push_back(std::move(rec));
     } else {
       flat_epoch = std::max(flat_epoch, rec.epoch);
       Release(rec.loc);
     }
   }
-  ArrayRecord merged;
-  merged.extent = {0, size};
-  merged.epoch = flat_epoch;
-  ROS2_ASSIGN_OR_RETURN(merged.loc, Store(flat));
-
-  value.records.clear();
-  value.records.push_back(std::move(merged));
-  for (auto& rec : survivors) value.records.push_back(std::move(rec));
+  if (size > 0) records.front().epoch = flat_epoch;
+  value.records = std::move(records);
   return Status::Ok();
 }
 

@@ -7,8 +7,11 @@
 //
 // Every update is stamped with an epoch; fetches read "as of" an epoch
 // (overlapping extents resolve newest-visible-wins). Records carry
-// end-to-end CRC-32C: computed at ingest, verified on every fetch, so a
-// corrupted tier surfaces as DATA_LOSS rather than silent bad bytes.
+// end-to-end CRC-32C, one per kCsumChunk of the record (DAOS's container
+// `cksum_size`): computed at ingest, and on every fetch verified for each
+// chunk the fetch touches, so a corrupted tier surfaces as DATA_LOSS
+// rather than silent bad bytes. A fetch reads only the chunks that cover
+// the bytes asked for, never the whole record.
 //
 // Tiering follows DAOS policy: records <= the SCM threshold (and all
 // single values) land in the PMEM pool; larger extents go to NVMe through
@@ -54,6 +57,11 @@ struct VosStats {
 
 class Vos {
  public:
+  /// Checksum granularity: one CRC-32C per this many bytes of a record,
+  /// counted from the record's start. A multiple of the 512 B and 4 KiB
+  /// LBA sizes, so a chunk-aligned NVMe read is LBA-aligned.
+  static constexpr std::uint64_t kCsumChunk = 32 * 1024;
+
   /// `scm` and `nvme` are the target's storage tiers (borrowed).
   Vos(scm::PmemPool* scm, spdk::Bdev* nvme, VosConfig config = {});
   ~Vos();
@@ -69,7 +77,8 @@ class Vos {
                      std::uint64_t offset, std::span<const std::byte> data);
 
   /// Reads [offset, offset+out.size()) as of `epoch` (kEpochHead = latest).
-  /// Holes read as zeros.
+  /// Holes read as zeros. Each visible record loads and verifies only the
+  /// checksum chunks that cover its slice of the range.
   Status FetchArray(const ObjectId& oid, const std::string& dkey,
                     const std::string& akey, Epoch epoch,
                     std::uint64_t offset, std::span<std::byte> out) const;
@@ -117,7 +126,8 @@ class Vos {
   // --- maintenance -------------------------------------------------------
   /// DAOS aggregation: collapses an array's record log up to `upto` into a
   /// single flat record, reclaiming superseded tier space. Reads at epochs
-  /// below `upto` afterwards see the aggregated (latest) state.
+  /// below `upto` afterwards see the aggregated (latest) state. On failure
+  /// the record log is left as it was.
   Status AggregateArray(const ObjectId& oid, const std::string& dkey,
                         const std::string& akey, Epoch upto);
 
@@ -131,7 +141,9 @@ class Vos {
     std::uint64_t nvme_offset = 0;
     std::uint64_t length = 0;       ///< stored bytes (LBA-padded on NVMe)
     std::uint64_t logical_len = 0;  ///< caller bytes
-    std::uint32_t crc = 0;
+    /// CRC-32C of each kCsumChunk of the caller bytes (the last chunk may
+    /// be short); empty when checksums are off.
+    std::vector<std::uint32_t> csums;
   };
 
   /// One versioned extent record in an array's log.
@@ -158,7 +170,10 @@ class Vos {
   using Object = std::map<std::string, DkeyMap>;
 
   Result<ValueLoc> Store(std::span<const std::byte> data);
-  Status Load(const ValueLoc& loc, std::span<std::byte> out) const;
+  /// Reads the record's caller bytes [offset, offset + out.size()) into
+  /// `out`, verifying every checksum chunk the range touches.
+  Status Load(const ValueLoc& loc, std::uint64_t offset,
+              std::span<std::byte> out) const;
   void Release(ValueLoc& loc);
 
   Result<const AkeyValue*> FindValue(const ObjectId& oid,

@@ -1,5 +1,7 @@
 // Tests for the BenchReport emitter (src/bench/report.h): JSON document
-// shape, parameter ordering, check aggregation, and the three renderers.
+// shape, parameter ordering, check aggregation, and the three renderers;
+// plus the paired-arm statistics the realtime ratio gates use
+// (src/bench/paired.h).
 #include "bench/report.h"
 
 #include <fstream>
@@ -7,6 +9,7 @@
 #include <string>
 
 #include "bench/json.h"
+#include "bench/paired.h"
 #include "common/table.h"
 #include "gtest/gtest.h"
 #include "support/test_support.h"
@@ -147,6 +150,25 @@ TEST(BenchReportTest, WriteJsonFileToBadPathFails) {
   BenchReport report("bench_bad", false);
   EXPECT_FALSE(
       report.WriteJsonFile("/nonexistent-dir-zzz/report.json").ok());
+}
+
+TEST(BenchPairsTest, StatisticsKeepEachPairTogether) {
+  Pairs pairs;
+  EXPECT_EQ(pairs.MedianRatio(), 0.0);
+  EXPECT_EQ(pairs.BestPair(), 0u);  // == size(): no pair yet
+  EXPECT_EQ(pairs.Ratio(pairs.BestPair()), 0.0);
+  pairs.Add(2.0, 1.0);  // ratio 2
+  pairs.Add(9.0, 3.0);  // ratio 3
+  pairs.Add(1.0, 0.0);  // failed B arm: ratio 0
+  pairs.Add(4.0, 4.0);  // ratio 1
+  EXPECT_EQ(pairs.Ratio(2), 0.0);
+  EXPECT_EQ(pairs.MedianRatio(), 2.0);  // upper median of {0, 1, 2, 3}
+  EXPECT_EQ(pairs.BestPair(), 1u);
+  EXPECT_EQ(pairs.MedianA(), 4.0);      // upper median of {1, 2, 4, 9}
+  EXPECT_EQ(pairs.MedianB(), 3.0);      // upper median of {0, 1, 3, 4}
+  EXPECT_EQ(pairs.SumA(), 16.0);
+  EXPECT_EQ(pairs.SumB(), 8.0);
+  EXPECT_EQ(pairs.a(4), 0.0);  // past the last pair
 }
 
 }  // namespace

@@ -1,8 +1,12 @@
 // Versioned-object-store tests: extent semantics, epochs, tiering,
-// end-to-end checksums, punch, and aggregation (§2.4's object model).
+// end-to-end chunk checksums, punch, and aggregation (§2.4's object model).
 #include "daos/vos.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/units.h"
@@ -288,6 +292,156 @@ TEST_F(VosTest, EmptyUpdateRejected) {
                               MakePatternBuffer(8, 1))
                 .code(),
             ErrorCode::kInvalidArgument);
+}
+
+TEST_F(VosTest, EmptySingleValueRoundTrip) {
+  ASSERT_TRUE(vos_->UpdateSingle(oid_, "meta", "empty", 1, {}).ok());
+  auto back = vos_->FetchSingle(oid_, "meta", "empty", kEpochHead);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->empty());
+}
+
+TEST_F(VosTest, FailedAggregationKeepsAcknowledgedData) {
+  // Two small SCM records whose merged 1 MiB record cannot fit the
+  // target's NVMe partition: aggregation fails, and both writes must
+  // still read back.
+  VosConfig config;
+  config.nvme_capacity = 512 * kKiB;
+  Vos vos(scm_.get(), bdev_.get(), config);
+  const std::uint64_t far = kMiB - 8 * kKiB;
+  Buffer head = MakePatternBuffer(8 * kKiB, 1);
+  Buffer tail = MakePatternBuffer(8 * kKiB, 2);
+  ASSERT_TRUE(vos.UpdateArray(oid_, "dk", "ak", 1, 0, head).ok());
+  ASSERT_TRUE(vos.UpdateArray(oid_, "dk", "ak", 2, far, tail).ok());
+  EXPECT_EQ(vos.AggregateArray(oid_, "dk", "ak", kEpochHead).code(),
+            ErrorCode::kResourceExhausted);
+  Buffer out(8 * kKiB);
+  ASSERT_TRUE(vos.FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
+  EXPECT_EQ(out, head);
+  ASSERT_TRUE(vos.FetchArray(oid_, "dk", "ak", kEpochHead, far, out).ok());
+  EXPECT_EQ(out, tail);
+}
+
+TEST_F(VosTest, FailedNvmeWriteFreesItsExtent) {
+  // The partition claims 1 MiB but only its first 512 KiB lie on the
+  // device, so a 1 MiB record's write fails after its extent is allocated.
+  VosConfig config;
+  config.nvme_base = device_->config().capacity_bytes - 512 * kKiB;
+  config.nvme_capacity = kMiB;
+  Vos vos(scm_.get(), bdev_.get(), config);
+  EXPECT_FALSE(
+      vos.UpdateArray(oid_, "dk", "ak", 1, 0, MakePatternBuffer(kMiB, 1))
+          .ok());
+  EXPECT_EQ(vos.stats().nvme_records, 0u);
+  // Only an extent freed by the failed write leaves room for this one.
+  Buffer fits = MakePatternBuffer(512 * kKiB, 2);
+  ASSERT_TRUE(vos.UpdateArray(oid_, "dk", "ak", 2, 0, fits).ok());
+  Buffer out(fits.size());
+  ASSERT_TRUE(vos.FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
+  EXPECT_EQ(out, fits);
+}
+
+// Chunk granularity: `data` is stored at array offset 0 and the checksum
+// chunk [bad_lo, bad_hi), bad_lo > 0, has been corrupted on its tier. A
+// read below the chunk is byte-exact; a read inside it or straddling into
+// it is DATA_LOSS.
+void ExpectOnlyChunkLost(const Vos& vos, const ObjectId& oid,
+                         const Buffer& data, std::uint64_t bad_lo,
+                         std::uint64_t bad_hi) {
+  Buffer clean(std::min<std::uint64_t>(bad_lo, 3 * Vos::kCsumChunk + 100));
+  ASSERT_TRUE(vos.FetchArray(oid, "dk", "ak", kEpochHead, 0, clean).ok());
+  EXPECT_TRUE(std::equal(clean.begin(), clean.end(), data.begin()));
+  Buffer inside(std::min<std::uint64_t>(100, bad_hi - bad_lo - 1));
+  EXPECT_EQ(vos.FetchArray(oid, "dk", "ak", kEpochHead, bad_lo + 1, inside)
+                .code(),
+            ErrorCode::kDataLoss);
+  Buffer straddle(8 * kKiB);
+  EXPECT_EQ(vos.FetchArray(oid, "dk", "ak", kEpochHead, bad_lo - 4 * kKiB,
+                           straddle)
+                .code(),
+            ErrorCode::kDataLoss);
+}
+
+TEST_F(VosTest, ScmCorruptionIsConfinedToItsChunk) {
+  Buffer data = MakePatternBuffer(2 * Vos::kCsumChunk, 4);  // SCM, 2 chunks
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  ASSERT_EQ(vos_->stats().scm_records, 1u);
+  auto span = scm_->Deref(1);
+  ASSERT_TRUE(span.ok());
+  (*span)[Vos::kCsumChunk + 5] ^= std::byte(0xFF);
+  ExpectOnlyChunkLost(*vos_, oid_, data, Vos::kCsumChunk,
+                      2 * Vos::kCsumChunk);
+}
+
+TEST_F(VosTest, NvmeCorruptionIsConfinedToItsChunk) {
+  // A partial, LBA-padded last chunk; the record is the device's first
+  // extent, so device offsets equal record offsets.
+  Buffer data = MakePatternBuffer(kMiB + 777, 5);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  ASSERT_EQ(vos_->stats().nvme_records, 1u);
+  spdk::Bdev raw(device_.get());
+  ASSERT_TRUE(raw.Write(kMiB, MakePatternBuffer(4096, 0xEE)).ok());
+  ExpectOnlyChunkLost(*vos_, oid_, data, kMiB, data.size());
+  // A middle chunk too, seen from both of its neighbours.
+  const std::uint64_t mid = 10 * Vos::kCsumChunk;
+  ASSERT_TRUE(raw.Write(mid + 8 * kKiB, MakePatternBuffer(4096, 0xEF)).ok());
+  ExpectOnlyChunkLost(*vos_, oid_, data, mid, mid + Vos::kCsumChunk);
+  Buffer after(4 * kKiB);
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead,
+                               mid + Vos::kCsumChunk, after)
+                  .ok());
+  EXPECT_TRUE(std::equal(after.begin(), after.end(),
+                         data.begin() + std::ptrdiff_t(mid + Vos::kCsumChunk)));
+}
+
+TEST_F(VosTest, SnapshotReadAcrossChunkStraddlingRecords) {
+  // Epoch 1: an NVMe record over [0, 96 KiB). Epoch 2: an SCM record over
+  // [10 KiB, 50 KiB), across the first record's chunk boundary at 32 KiB
+  // and with a boundary of its own at 42 KiB. Epoch 3: an NVMe record over
+  // [60 KiB, 140 KiB).
+  struct Write {
+    Epoch epoch;
+    std::uint64_t offset;
+    std::uint64_t size;
+  };
+  const Write writes[] = {
+      {1, 0, 96 * kKiB}, {2, 10 * kKiB, 40 * kKiB}, {3, 60 * kKiB, 80 * kKiB}};
+  std::vector<Buffer> model;  // expected array contents as of each epoch
+  Buffer state(140 * kKiB);
+  for (const Write& w : writes) {
+    Buffer data = MakePatternBuffer(w.size, w.epoch);
+    ASSERT_TRUE(
+        vos_->UpdateArray(oid_, "dk", "ak", w.epoch, w.offset, data).ok());
+    std::copy(data.begin(), data.end(),
+              state.begin() + std::ptrdiff_t(w.offset));
+    model.push_back(state);
+  }
+  EXPECT_EQ(vos_->stats().nvme_records, 2u);
+  for (Epoch epoch = 1; epoch <= 3; ++epoch) {
+    const std::uint64_t lo = 5 * kKiB + 3;
+    Buffer out(100 * kKiB);
+    ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", epoch, lo, out).ok());
+    EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                           model[epoch - 1].begin() + std::ptrdiff_t(lo)))
+        << "epoch " << epoch;
+  }
+}
+
+TEST_F(VosTest, AlignedSubReadMovesOneChunkOffTheDevice) {
+  Buffer data = MakePatternBuffer(kMiB, 6);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  Buffer out(4 * kKiB);
+  const std::uint64_t before = device_->bytes_read();
+  ASSERT_TRUE(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 300 * kKiB, out).ok());
+  EXPECT_EQ(device_->bytes_read() - before, Vos::kCsumChunk);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                         data.begin() + std::ptrdiff_t(300 * kKiB)));
+  Buffer whole(kMiB);
+  const std::uint64_t mid = device_->bytes_read();
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, whole).ok());
+  EXPECT_EQ(device_->bytes_read() - mid, kMiB);
+  EXPECT_EQ(whole, data);
 }
 
 }  // namespace
