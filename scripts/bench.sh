@@ -118,6 +118,7 @@ MODEL_BENCHES=(
   bench_micro_rebuild
   bench_micro_telemetry
   bench_micro_vos
+  bench_micro_crypto
 )
 
 QUICK_FLAG=""
