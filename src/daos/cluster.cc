@@ -3,6 +3,8 @@
 #include <string>
 #include <utility>
 
+#include "common/heap.h"
+
 namespace ros2::daos {
 
 Cluster::Cluster(ClusterSpec spec)
@@ -12,6 +14,7 @@ Result<std::unique_ptr<Cluster>> Cluster::Boot(ClusterSpec spec) {
   if (spec.engines == 0) {
     return Status(InvalidArgument("cluster needs at least one engine"));
   }
+  common::KeepFreedHeapResident();
   auto cluster = std::unique_ptr<Cluster>(new Cluster(std::move(spec)));
   const ClusterSpec& s = cluster->spec_;
   for (std::uint32_t e = 0; e < s.engines; ++e) {

@@ -1,6 +1,8 @@
 #include "daos/engine.h"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 
 #include "common/logging.h"
 #include "daos/placement.h"
@@ -551,7 +553,10 @@ Result<Buffer> DaosEngine::ExecObjUpdate(Container& cont, const ObjAddr& addr,
   if (bulk.in_size() == 0) {
     return Status(InvalidArgument("update requires a bulk payload"));
   }
-  Buffer data(bulk.in_size());
+  // Uninitialized: Pull writes every byte before VOS reads any.
+  const auto storage =
+      std::make_unique_for_overwrite<std::byte[]>(bulk.in_size());
+  const std::span<std::byte> data(storage.get(), bulk.in_size());
   ROS2_RETURN_IF_ERROR(bulk.Pull(data));
   const Epoch epoch = cont.next_epoch++;
   ROS2_RETURN_IF_ERROR(targets_[target].vos->UpdateArray(
@@ -573,7 +578,10 @@ Result<Buffer> DaosEngine::ExecObjFetch(Container&, const ObjAddr& addr,
   if (length != bulk.out_capacity()) {
     return Status(InvalidArgument("fetch length != client bulk window"));
   }
-  Buffer data(length);
+  // Uninitialized: a FetchArray that succeeds writes every byte, zeros for
+  // holes; one that fails pushes nothing.
+  const auto storage = std::make_unique_for_overwrite<std::byte[]>(length);
+  const std::span<std::byte> data(storage.get(), length);
   ROS2_RETURN_IF_ERROR(targets_[target].vos->FetchArray(
       addr.oid, addr.dkey, addr.akey, epoch, offset, data));
   ROS2_RETURN_IF_ERROR(bulk.Push(data));

@@ -1,12 +1,27 @@
 #include "daos/vos.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
+#include <memory_resource>
+#include <vector>
 
 #include "common/crc.h"
 
 namespace ros2::daos {
+namespace {
+
+/// A part [lo, hi) of a fetch window that no record visited so far covers.
+struct Gap {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
+/// Gaps a fetch keeps on the stack before its gap list moves to the heap.
+constexpr std::size_t kInlineGaps = 16;
+
+}  // namespace
 
 Vos::Vos(scm::PmemPool* scm, spdk::Bdev* nvme, VosConfig config)
     : scm_(scm),
@@ -32,50 +47,60 @@ Result<Vos::ValueLoc> Vos::Store(std::span<const std::byte> data) {
     }
   }
   if (data.size() <= config_.scm_threshold) {
-    loc.tier = ValueLoc::Tier::kScm;
-    ROS2_ASSIGN_OR_RETURN(loc.scm_handle,
-                          scm_->Alloc(data.empty() ? 1 : data.size()));
-    loc.length = data.size();
-    if (!data.empty()) {
-      auto span = scm_->Deref(loc.scm_handle);
-      if (!span.ok()) {
-        (void)scm_->Free(loc.scm_handle);
-        return span.status();
+    Result<scm::PmemHandle> handle =
+        scm_->Alloc(data.empty() ? 1 : data.size());
+    if (handle.ok()) {
+      loc.tier = ValueLoc::Tier::kScm;
+      loc.scm_handle = *handle;
+      loc.length = data.size();
+      if (!data.empty()) {
+        auto span = scm_->Deref(loc.scm_handle);
+        if (!span.ok()) {
+          (void)scm_->Free(loc.scm_handle);
+          return span.status();
+        }
+        std::memcpy(span->data(), data.data(), data.size());
       }
-      std::memcpy(span->data(), data.data(), data.size());
+      ++stats_.scm_records;
+      stats_.bytes_in_scm += data.size();
+      return loc;
     }
-    ++stats_.scm_records;
-    stats_.bytes_in_scm += data.size();
-  } else {
-    loc.tier = ValueLoc::Tier::kNvme;
-    const std::uint32_t lba = nvme_->block_size();
-    const std::uint64_t body = data.size() / lba * lba;
-    const std::uint64_t padded = (data.size() + lba - 1) / lba * lba;
-    ROS2_ASSIGN_OR_RETURN(loc.nvme_offset, nvme_alloc_.Alloc(padded));
-    loc.length = padded;
-    // The LBA-aligned body goes straight from the caller's span; only the
-    // tail block is bounced to pad it (the logical length masks the
-    // padding on load).
-    Status written =
-        body > 0 ? nvme_->Write(loc.nvme_offset, data.first(body))
-                 : Status::Ok();
-    if (written.ok() && body < padded) {
-      Buffer tail(lba);
-      std::memcpy(tail.data(), data.data() + body, data.size() - body);
-      written = nvme_->Write(loc.nvme_offset + body, tail);
+    // A full pool sends the record to NVMe instead of failing the write:
+    // nothing reclaims superseded records without aggregation, so the
+    // pool of a target that takes many overwrites can fill up while its
+    // NVMe partition still has room.
+    if (data.empty() ||
+        handle.status().code() != ErrorCode::kResourceExhausted) {
+      return handle.status();
     }
-    if (!written.ok()) {
-      (void)nvme_alloc_.Free(loc.nvme_offset);
-      return written;
-    }
-    ++stats_.nvme_records;
-    stats_.bytes_in_nvme += padded;
   }
+  loc.tier = ValueLoc::Tier::kNvme;
+  const std::uint32_t lba = nvme_->block_size();
+  const std::uint64_t body = data.size() / lba * lba;
+  const std::uint64_t padded = (data.size() + lba - 1) / lba * lba;
+  ROS2_ASSIGN_OR_RETURN(loc.nvme_offset, nvme_alloc_.Alloc(padded));
+  loc.length = padded;
+  // The LBA-aligned body goes straight from the caller's span; only the
+  // tail block is bounced to pad it (the logical length masks the padding
+  // on load).
+  Status written = body > 0 ? nvme_->Write(loc.nvme_offset, data.first(body))
+                            : Status::Ok();
+  if (written.ok() && body < padded) {
+    Buffer tail(lba);
+    std::memcpy(tail.data(), data.data() + body, data.size() - body);
+    written = nvme_->Write(loc.nvme_offset + body, tail);
+  }
+  if (!written.ok()) {
+    (void)nvme_alloc_.Free(loc.nvme_offset);
+    return written;
+  }
+  ++stats_.nvme_records;
+  stats_.bytes_in_nvme += padded;
   return loc;
 }
 
 Status Vos::Load(const ValueLoc& loc, std::uint64_t offset,
-                 std::span<std::byte> out) const {
+                 std::span<std::byte> out, ChunkCache& cache) const {
   if (offset > loc.logical_len || out.size() > loc.logical_len - offset) {
     return Internal("record load out of range");
   }
@@ -103,7 +128,6 @@ Status Vos::Load(const ValueLoc& loc, std::uint64_t offset,
     const std::uint64_t e = chunk_end(pos);
     return pos >= offset && e <= end && e % lba == 0;
   };
-  std::unique_ptr<std::byte[]> bounce;  // one chunk, for partial chunks
   std::uint64_t pos = offset / kCsumChunk * kCsumChunk;
   while (pos < end) {
     if (in_place(pos)) {
@@ -124,21 +148,31 @@ Status Vos::Load(const ValueLoc& loc, std::uint64_t offset,
     }
     // Head or tail chunk the caller wants only part of, or the padded last
     // chunk: verify all of it, copy the wanted slice. SCM is byte-
-    // addressable, so it is checked where it lies.
+    // addressable, so it is checked where it lies; NVMe is read into the
+    // cache's bounce buffer. Either way the chunk is remembered, so the
+    // caller's next slice of it is neither read nor verified again.
     const std::uint64_t e = chunk_end(pos);
     std::span<const std::byte> chunk;
+    std::span<std::byte> stored;
     if (scm) {
       chunk = pmem.subspan(pos, e - pos);
     } else {
-      if (!bounce) {
-        bounce = std::make_unique_for_overwrite<std::byte[]>(kCsumChunk);
+      if (!cache.bounce) {
+        cache.bounce = std::make_unique_for_overwrite<std::byte[]>(kCsumChunk);
       }
-      const std::span<std::byte> stored(
-          bounce.get(), std::min(pos + kCsumChunk, loc.length) - pos);
-      ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset + pos, stored));
+      stored = {cache.bounce.get(),
+                std::min(pos + kCsumChunk, loc.length) - pos};
       chunk = stored.first(e - pos);
     }
-    ROS2_RETURN_IF_ERROR(verify(pos, chunk));
+    if (cache.loc != &loc || cache.pos != pos) {
+      cache.loc = nullptr;  // the bounce buffer is about to change
+      if (!scm) {
+        ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset + pos, stored));
+      }
+      ROS2_RETURN_IF_ERROR(verify(pos, chunk));
+      cache.loc = &loc;
+      cache.pos = pos;
+    }
     const std::uint64_t lo = std::max(pos, offset);
     const std::uint64_t hi = std::min(e, end);
     std::memcpy(out.data() + (lo - offset), chunk.data() + (lo - pos), hi - lo);
@@ -188,6 +222,9 @@ Status Vos::UpdateArray(const ObjectId& oid, const std::string& dkey,
                         std::span<const std::byte> data) {
   if (!oid.valid()) return InvalidArgument("invalid oid");
   if (data.empty()) return InvalidArgument("empty update");
+  if (data.size() > ~std::uint64_t(0) - offset) {
+    return InvalidArgument("extent wraps past 2^64");
+  }
   auto& value = objects_[oid][dkey][akey];
   if (!value.records.empty() || !value.singles.empty()) {
     if (value.type != ValueType::kArray) {
@@ -211,28 +248,58 @@ Status Vos::UpdateArray(const ObjectId& oid, const std::string& dkey,
 Status Vos::FetchArray(const ObjectId& oid, const std::string& dkey,
                        const std::string& akey, Epoch epoch,
                        std::uint64_t offset, std::span<std::byte> out) const {
+  if (out.size() > ~std::uint64_t(0) - offset) {
+    return InvalidArgument("fetch window wraps past 2^64");
+  }
   auto value = FindValue(oid, dkey, akey, ValueType::kArray);
-  std::memset(out.data(), 0, out.size());
-  if (!value.ok()) {
-    // Missing object/keys read as holes (DAOS fetch semantics).
-    return Status::Ok();
-  }
-  const Extent want{offset, out.size()};
-  // Replay the record log in epoch order; newest visible record wins by
-  // being applied last.
-  for (const ArrayRecord& rec : (*value)->records) {
-    if (epoch != kEpochHead && rec.epoch > epoch) continue;
-    const std::uint64_t lo = std::max(rec.extent.offset, want.offset);
-    const std::uint64_t hi = std::min(rec.extent.end(), want.end());
-    if (lo >= hi) continue;
-    if (rec.punch) {
-      std::memset(out.data() + (lo - want.offset), 0, hi - lo);
-      continue;
+  // The still-uncovered parts of the window, sorted and disjoint; on the
+  // stack until the record log splits the window into more pieces.
+  alignas(Gap) std::array<std::byte, kInlineGaps * sizeof(Gap)> stack;
+  std::pmr::monotonic_buffer_resource arena(stack.data(), stack.size());
+  std::pmr::vector<Gap> gaps(&arena);
+  gaps.reserve(kInlineGaps);
+  if (!out.empty()) gaps.push_back({offset, offset + out.size()});
+  if (value.ok()) {
+    // Walk the log newest to oldest: the first visible record to reach a
+    // byte is the one that wins at `epoch`, so each byte is loaded and
+    // verified once and superseded records are never read. Reversing the
+    // log keeps same-epoch records last-applied-wins.
+    ChunkCache cache;
+    const std::vector<ArrayRecord>& records = (*value)->records;
+    for (auto rec = records.rbegin(); rec != records.rend() && !gaps.empty();
+         ++rec) {
+      if (epoch != kEpochHead && rec->epoch > epoch) continue;
+      const std::uint64_t lo = rec->extent.offset;
+      const std::uint64_t hi = rec->extent.end();
+      // Fill each gap part the record covers, then cut [lo, hi) out of the
+      // list: the covered run of gaps leaves at most a head and a tail.
+      const auto first = std::partition_point(
+          gaps.begin(), gaps.end(), [lo](const Gap& g) { return g.hi <= lo; });
+      auto last = first;
+      for (; last != gaps.end() && last->lo < hi; ++last) {
+        const std::uint64_t from = std::max(last->lo, lo);
+        const std::span<std::byte> dst =
+            out.subspan(from - offset, std::min(last->hi, hi) - from);
+        if (rec->punch) {
+          std::memset(dst.data(), 0, dst.size());
+        } else {
+          ROS2_RETURN_IF_ERROR(Load(rec->loc, from - lo, dst, cache));
+        }
+      }
+      if (first == last) continue;
+      Gap keep[2];
+      std::size_t kept = 0;
+      if (first->lo < lo) keep[kept++] = {first->lo, lo};
+      if ((last - 1)->hi > hi) keep[kept++] = {hi, (last - 1)->hi};
+      gaps.insert(gaps.erase(first, last), keep, keep + kept);
     }
-    ROS2_RETURN_IF_ERROR(Load(rec.loc, lo - rec.extent.offset,
-                              out.subspan(lo - want.offset, hi - lo)));
   }
-  ++stats_.fetches;
+  // Whatever no record covers is a hole; a missing object or key is all
+  // hole (DAOS fetch semantics).
+  for (const Gap& gap : gaps) {
+    std::memset(out.data() + (gap.lo - offset), 0, gap.hi - gap.lo);
+  }
+  if (value.ok()) ++stats_.fetches;
   return Status::Ok();
 }
 
@@ -287,7 +354,8 @@ Result<Buffer> Vos::FetchSingle(const ObjectId& oid, const std::string& dkey,
     return Status(NotFound("no visible value at epoch"));
   }
   Buffer out(visible->loc.logical_len);
-  ROS2_RETURN_IF_ERROR(Load(visible->loc, 0, out));
+  ChunkCache cache;
+  ROS2_RETURN_IF_ERROR(Load(visible->loc, 0, out, cache));
   return out;
 }
 

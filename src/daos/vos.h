@@ -6,21 +6,25 @@
 //   object -> dkey -> akey -> { single value | extent array }
 //
 // Every update is stamped with an epoch; fetches read "as of" an epoch
-// (overlapping extents resolve newest-visible-wins). Records carry
-// end-to-end CRC-32C, one per kCsumChunk of the record (DAOS's container
-// `cksum_size`): computed at ingest, and on every fetch verified for each
-// chunk the fetch touches, so a corrupted tier surfaces as DATA_LOSS
-// rather than silent bad bytes. A fetch reads only the chunks that cover
-// the bytes asked for, never the whole record.
+// (overlapping extents resolve newest-visible-wins: the record log is
+// walked newest first, as DAOS's EV-tree returns only visible extents).
+// Records carry end-to-end CRC-32C, one per kCsumChunk of the record
+// (DAOS's container `cksum_size`): computed at ingest, and on every fetch
+// verified for each chunk of the visible bytes the fetch returns, so a
+// corrupted tier surfaces as DATA_LOSS rather than silent bad bytes. A
+// fetch reads only the chunks that cover the bytes asked for, never the
+// whole record.
 //
 // Tiering follows DAOS policy: records <= the SCM threshold (and all
 // single values) land in the PMEM pool; larger extents go to NVMe through
-// the block allocator.
+// the block allocator. A non-empty record that finds the PMEM pool full
+// goes to NVMe as well instead of failing the update.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,8 +81,12 @@ class Vos {
                      std::uint64_t offset, std::span<const std::byte> data);
 
   /// Reads [offset, offset+out.size()) as of `epoch` (kEpochHead = latest).
-  /// Holes read as zeros. Each visible record loads and verifies only the
-  /// checksum chunks that cover its slice of the range.
+  /// Holes read as zeros. The record log is walked newest first, and each
+  /// record fills only the bytes no newer visible record has filled, so a
+  /// byte is loaded and verified once, from the record visible at
+  /// `epoch`. A record loads and verifies only the checksum chunks that
+  /// cover the bytes it fills; superseded bytes are not verified on a
+  /// read, and the walk stops once the range is covered.
   Status FetchArray(const ObjectId& oid, const std::string& dkey,
                     const std::string& akey, Epoch epoch,
                     std::uint64_t offset, std::span<std::byte> out) const;
@@ -169,11 +177,21 @@ class Vos {
   using DkeyMap = std::map<std::string, AkeyValue>;
   using Object = std::map<std::string, DkeyMap>;
 
+  /// The last checksum chunk a Load read only part of. A record that
+  /// fills several gaps of one fetch loads each piece separately; the
+  /// cache lets the pieces inside one chunk share one read and one check.
+  struct ChunkCache {
+    const ValueLoc* loc = nullptr;  ///< nullptr: nothing cached
+    std::uint64_t pos = 0;          ///< the chunk's offset in the record
+    std::unique_ptr<std::byte[]> bounce;  ///< its stored bytes (NVMe)
+  };
+
   Result<ValueLoc> Store(std::span<const std::byte> data);
   /// Reads the record's caller bytes [offset, offset + out.size()) into
-  /// `out`, verifying every checksum chunk the range touches.
+  /// `out`, verifying every checksum chunk the range touches, except a
+  /// partly read chunk `cache` already holds verified.
   Status Load(const ValueLoc& loc, std::uint64_t offset,
-              std::span<std::byte> out) const;
+              std::span<std::byte> out, ChunkCache& cache) const;
   void Release(ValueLoc& loc);
 
   Result<const AkeyValue*> FindValue(const ObjectId& oid,

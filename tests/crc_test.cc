@@ -42,6 +42,27 @@ TEST(Crc32cTest, StreamingMatchesOneShot) {
   EXPECT_EQ(streamed, whole);
 }
 
+/// The hardware kernel runs three interleaved streams over 3 x 512-byte
+/// groups; lengths and split points around this size reach its group
+/// loop, its merge and its single-stream tail.
+constexpr std::size_t kGroup = 3 * 512;
+
+TEST(Crc32cTest, StreamingSplitInsideInterleaveGroups) {
+  Buffer data = MakePatternBuffer(6 * kGroup + 100, /*tag=*/11);
+  for (std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+    std::uint32_t streamed = seed;
+    std::size_t pos = 0;
+    for (std::size_t chunk : {std::size_t(513), kGroup + 7, kGroup / 2,
+                              2 * kGroup - 1, kGroup}) {
+      streamed = Crc32c(std::span<const std::byte>(data.data() + pos, chunk),
+                        streamed);
+      pos += chunk;
+    }
+    streamed = Crc32c(std::span<const std::byte>(data).subspan(pos), streamed);
+    EXPECT_EQ(streamed, Crc32cPortable(data, seed)) << "seed=" << seed;
+  }
+}
+
 /// Bit-at-a-time reference CRC32C (reversed poly 0x82F63B78) — the
 /// definition the sliced/hardware fast paths must reproduce exactly.
 std::uint32_t ReferenceCrc32c(const std::byte* data, std::size_t size,
@@ -57,11 +78,16 @@ std::uint32_t ReferenceCrc32c(const std::byte* data, std::size_t size,
 }
 
 TEST(Crc32cTest, FastPathsMatchBitwiseReference) {
-  // Lengths straddle the 8-byte slicing boundary; offsets exercise
-  // unaligned heads; a nonzero seed exercises streaming state.
-  Buffer data = MakePatternBuffer(1024, /*tag=*/21);
-  for (std::size_t len : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 63u, 64u, 100u,
-                          511u, 512u, 1000u}) {
+  // Lengths straddle the 8-byte slicing boundary and the interleave
+  // group (one short, exact, one over, two groups plus a tail, a VOS
+  // checksum chunk, and past 1 MiB); offsets exercise unaligned heads; a
+  // nonzero seed exercises streaming state.
+  const std::size_t lengths[] = {
+      0, 1, 7, 8, 9, 15, 16, 63, 64, 100, 511, 512, 1000,
+      kGroup - 1, kGroup, kGroup + 1, 2 * kGroup + 7,
+      32 * 1024, 32 * 1024 + 7, (1 << 20) + 13};
+  Buffer data = MakePatternBuffer((1 << 20) + 13 + 5, /*tag=*/21);
+  for (std::size_t len : lengths) {
     for (std::size_t offset : {0u, 1u, 3u, 5u}) {
       for (std::uint32_t seed : {0u, 0xDEADBEEFu}) {
         std::span<const std::byte> view(data.data() + offset, len);

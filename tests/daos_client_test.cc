@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/cluster.h"
@@ -169,6 +175,68 @@ TEST_P(DaosClientTest, PunchScopes) {
   EXPECT_TRUE(dkeys->empty());
 }
 
+TEST_P(DaosClientTest, FetchZeroesHolesAndPunchedRanges) {
+  // The engine stages a fetch in uninitialized memory, so every byte of
+  // the reply, zeros included, must come from VOS. A full 1 MiB fetch
+  // first leaves non-zero bytes in the allocator; a window with
+  // never-written holes, or with punched ranges, must still read them as
+  // zeros.
+  auto oid = client_->AllocOid(cont_);
+  ASSERT_TRUE(oid.ok());
+  Buffer full = MakePatternBuffer(kMiB, 1);
+  ASSERT_TRUE(client_->Update(cont_, *oid, "dk", "full", 0, full).ok());
+
+  // Both akeys end up with data at [16 KiB, 256 KiB) and [512 KiB, 1 MiB).
+  // In "sparse" the rest was never written; in "punched" all of it was,
+  // before a punch of the akey.
+  Buffer head = MakePatternBuffer(240 * kKiB, 3);
+  Buffer tail = MakePatternBuffer(512 * kKiB, 4);
+  ASSERT_TRUE(client_->Update(cont_, *oid, "dk", "punched", 0,
+                              MakePatternBuffer(kMiB, 2))
+                  .ok());
+  ASSERT_TRUE(client_->PunchAkey(cont_, *oid, "dk", "punched").ok());
+  for (const char* akey : {"sparse", "punched"}) {
+    ASSERT_TRUE(
+        client_->Update(cont_, *oid, "dk", akey, 16 * kKiB, head).ok());
+    ASSERT_TRUE(
+        client_->Update(cont_, *oid, "dk", akey, 512 * kKiB, tail).ok());
+  }
+  Buffer expect(kMiB);
+  std::copy(head.begin(), head.end(), expect.begin() + 16 * kKiB);
+  std::copy(tail.begin(), tail.end(), expect.begin() + 512 * kKiB);
+
+  // Each window is read into the buffer the full fetch just filled, so its
+  // staging buffer reuses memory the full fetch's staging buffer held
+  // (after the first large free, the allocator serves 1 MiB from the heap
+  // rather than from fresh zero pages).
+  for (int round = 0; round < 2; ++round) {
+    for (const char* akey : {"sparse", "punched"}) {
+      Buffer got(kMiB);
+      ASSERT_TRUE(client_->Fetch(cont_, *oid, "dk", "full", 0, got).ok());
+      EXPECT_EQ(got, full);
+      ASSERT_TRUE(client_->Fetch(cont_, *oid, "dk", akey, 0, got).ok());
+      EXPECT_EQ(got, expect) << akey << " round " << round;
+    }
+  }
+}
+
+TEST_P(DaosClientTest, WindowsThatWrapPast64BitsAreRejected) {
+  // The offset and length of an update or fetch come off the wire; a
+  // window whose end wraps past 2^64 is refused rather than half-served.
+  auto oid = client_->AllocOid(cont_);
+  ASSERT_TRUE(oid.ok());
+  const std::uint64_t offset = ~std::uint64_t(0) - 99;
+  Buffer data = MakePatternBuffer(4 * kKiB, 1);
+  EXPECT_EQ(client_->Update(cont_, *oid, "dk", "ak", offset, data)
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+  ASSERT_TRUE(client_->Update(cont_, *oid, "dk", "ak", 0, data).ok());
+  Buffer out(4 * kKiB);
+  EXPECT_EQ(client_->Fetch(cont_, *oid, "dk", "ak", offset, out).code(),
+            ErrorCode::kInvalidArgument);
+}
+
 TEST_P(DaosClientTest, ArraySizeAndAggregate) {
   auto oid = client_->AllocOid(cont_);
   ASSERT_TRUE(oid.ok());
@@ -206,6 +274,42 @@ TEST_P(DaosClientTest, ListAkeys) {
   auto akeys = client_->ListAkeys(cont_, *oid, "d");
   ASSERT_TRUE(akeys.ok());
   EXPECT_EQ(akeys->size(), 2u);
+}
+
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+constexpr bool kGlibcHeap = true;
+#else
+constexpr bool kGlibcHeap = false;  // a sanitizer's allocator, or no glibc
+#endif
+
+TEST(ClusterHeapTest, BootKeepsFreedMemoryResident) {
+  if (!kGlibcHeap) GTEST_SKIP() << "heap policy applies to glibc malloc";
+  ASSERT_TRUE(Cluster::Boot(ClusterSpec{}).ok());
+  // Five 16 MiB blocks freed together leave 80 MiB at the heap top, past
+  // the largest trim threshold glibc picks on its own (64 MiB). Without
+  // the policy each cycle returns them to the kernel and faults all
+  // 20 480 pages back in.
+  auto cycle = [](int round) {
+    std::vector<std::unique_ptr<std::byte[]>> blocks;
+    for (int i = 0; i < 5; ++i) {
+      blocks.push_back(std::make_unique_for_overwrite<std::byte[]>(16 * kMiB));
+      volatile std::byte* bytes = blocks.back().get();
+      for (std::uint64_t off = 0; off < 16 * kMiB; off += 4 * kKiB) {
+        bytes[off] = std::byte(round);
+      }
+    }
+  };
+  cycle(0);
+  const long before = MinorFaults();
+  for (int round = 1; round <= 4; ++round) cycle(round);
+  EXPECT_LT(MinorFaults() - before, 256);
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, DaosClientTest,

@@ -59,7 +59,11 @@ class VosFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
     vos_ = std::make_unique<Vos>(scm_.get(), bdev_.get());
   }
 
-  void CheckAgainstReference(const ReferenceArray& ref, Epoch epoch) {
+  /// Checks the whole array as of `epoch`, then one random sub-window of
+  /// it: a window that starts and ends inside records splits the fetch's
+  /// uncovered ranges against partial overlaps and punches.
+  void CheckAgainstReference(const ReferenceArray& ref, Epoch epoch,
+                             Rng& rng) {
     const Buffer expect = ref.At(epoch);
     // Read a window larger than the reference to also check the tail hole.
     Buffer got(expect.size() + 64);
@@ -70,6 +74,15 @@ class VosFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
     }
     for (std::size_t i = expect.size(); i < got.size(); ++i) {
       ASSERT_EQ(got[i], std::byte(0)) << "tail byte " << i;
+    }
+    const std::uint64_t offset = rng.Below(expect.size() + 1);
+    Buffer window(1 + rng.Below(130 * 1024));
+    ASSERT_TRUE(
+        vos_->FetchArray(oid_, "dk", "ak", epoch, offset, window).ok());
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      const std::uint64_t pos = offset + i;
+      ASSERT_EQ(window[i], pos < expect.size() ? expect[pos] : std::byte(0))
+          << "epoch " << epoch << " window at " << offset << " byte " << i;
     }
   }
 
@@ -136,10 +149,10 @@ TEST_P(VosFuzzTest, RandomOpsMatchReference) {
   }
 
   // Full verification at HEAD and at every retained checkpoint epoch.
-  CheckAgainstReference(ref, kEpochHead);
+  CheckAgainstReference(ref, kEpochHead, rng);
   for (Epoch checkpoint : checkpoints) {
     if (checkpoint == 0) continue;
-    CheckAgainstReference(ref, checkpoint);
+    CheckAgainstReference(ref, checkpoint, rng);
   }
 }
 

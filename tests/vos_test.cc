@@ -341,6 +341,39 @@ TEST_F(VosTest, FailedNvmeWriteFreesItsExtent) {
   EXPECT_EQ(out, fits);
 }
 
+TEST_F(VosTest, FullScmPoolSpillsRecordsToNvme) {
+  // Room for two 48 KiB SCM records: the third and a single value that
+  // follow go to NVMe instead of failing, and everything reads back.
+  scm::PmemPool small_pool(100 * kKiB);
+  Vos vos(&small_pool, bdev_.get());
+  Buffer all(3 * 48 * kKiB);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    Buffer part = MakePatternBuffer(48 * kKiB, i + 1);
+    ASSERT_TRUE(
+        vos.UpdateArray(oid_, "dk", "ak", i + 1, i * 48 * kKiB, part).ok());
+    std::copy(part.begin(), part.end(), all.begin() + i * 48 * kKiB);
+  }
+  Buffer value = MakePatternBuffer(8 * kKiB, 9);
+  ASSERT_TRUE(vos.UpdateSingle(oid_, "meta", "v", 4, value).ok());
+  EXPECT_EQ(vos.stats().scm_records, 2u);
+  EXPECT_EQ(vos.stats().nvme_records, 2u);
+
+  Buffer out(all.size());
+  ASSERT_TRUE(vos.FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
+  EXPECT_EQ(out, all);
+  auto back = vos.FetchSingle(oid_, "meta", "v", kEpochHead);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, value);
+
+  // A spilled record is released like any NVMe record: after the punch
+  // the pool is empty and the next SCM-sized write lands in SCM again.
+  ASSERT_TRUE(vos.PunchObject(oid_, 5).ok());
+  EXPECT_EQ(small_pool.used_bytes(), 0u);
+  ASSERT_TRUE(vos.UpdateArray(oid_, "dk", "ak", 6, 0, value).ok());
+  EXPECT_EQ(vos.stats().scm_records, 1u);
+  EXPECT_EQ(vos.stats().nvme_records, 0u);
+}
+
 // Chunk granularity: `data` is stored at array offset 0 and the checksum
 // chunk [bad_lo, bad_hi), bad_lo > 0, has been corrupted on its tier. A
 // read below the chunk is byte-exact; a read inside it or straddling into
@@ -442,6 +475,129 @@ TEST_F(VosTest, AlignedSubReadMovesOneChunkOffTheDevice) {
   ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, whole).ok());
   EXPECT_EQ(device_->bytes_read() - mid, kMiB);
   EXPECT_EQ(whole, data);
+}
+
+TEST_F(VosTest, HiddenRecordCorruptionOnlySurfacesAtItsEpoch) {
+  // Epoch 1's SCM record (handle 1) is completely hidden at HEAD by epoch
+  // 2's write of the same extent. A HEAD read never loads it, so its
+  // corruption does not fail the read; a snapshot read at epoch 1 does.
+  Buffer old_data = MakePatternBuffer(8 * kKiB, 1);
+  Buffer new_data = MakePatternBuffer(8 * kKiB, 2);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, old_data).ok());
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 2, 0, new_data).ok());
+  auto span = scm_->Deref(1);
+  ASSERT_TRUE(span.ok());
+  (*span)[100] ^= std::byte(0xFF);
+  Buffer out(8 * kKiB);
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
+  EXPECT_EQ(out, new_data);
+  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", 1, 0, out).code(),
+            ErrorCode::kDataLoss);
+}
+
+TEST_F(VosTest, PartlyHiddenChunkIsVerifiedOnlyWhenItsVisiblePartIsRead) {
+  // Epoch 1: a two-chunk SCM record over [0, 64 KiB). Epoch 2 hides the
+  // first 16 KiB of its first chunk; the corrupted byte lies in that
+  // hidden part, but the chunk's checksum covers its visible rest too.
+  Buffer old_data = MakePatternBuffer(2 * Vos::kCsumChunk, 1);
+  Buffer new_data = MakePatternBuffer(16 * kKiB, 2);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, old_data).ok());
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 2, 0, new_data).ok());
+  auto span = scm_->Deref(1);
+  ASSERT_TRUE(span.ok());
+  (*span)[100] ^= std::byte(0xFF);
+  Buffer visible(8 * kKiB);
+  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 20 * kKiB,
+                             visible)
+                .code(),
+            ErrorCode::kDataLoss);
+  Buffer hidden(16 * kKiB);
+  ASSERT_TRUE(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, hidden).ok());
+  EXPECT_EQ(hidden, new_data);
+  // The second chunk is intact and reads cleanly.
+  Buffer second(Vos::kCsumChunk);
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead,
+                               Vos::kCsumChunk, second)
+                  .ok());
+  EXPECT_TRUE(std::equal(second.begin(), second.end(),
+                         old_data.begin() + std::ptrdiff_t(Vos::kCsumChunk)));
+}
+
+TEST_F(VosTest, ScatteredNewerRecordsOverOneOlderRecord) {
+  // One wide record, then 40 small newer ones spread over it with a punch
+  // in the middle of the log: the window fragments into more pieces than a
+  // fetch keeps on the stack, and each piece resolves to its newest writer.
+  constexpr std::uint64_t kSpan = 200 * kKiB;
+  Buffer model(kSpan);
+  Epoch epoch = 1;
+  auto write = [&](std::uint64_t offset, std::uint64_t size) {
+    Buffer data = MakePatternBuffer(size, epoch, offset);
+    ASSERT_TRUE(
+        vos_->UpdateArray(oid_, "dk", "ak", epoch++, offset, data).ok());
+    std::copy(data.begin(), data.end(),
+              model.begin() + std::ptrdiff_t(offset));
+  };
+  write(8 * kKiB, 100 * kKiB);
+  const Buffer at_first = model;
+  ASSERT_TRUE(vos_->PunchAkey(oid_, "dk", "ak", epoch++).ok());
+  std::fill(model.begin(), model.end(), std::byte(0));
+  write(0, 150 * kKiB);  // NVMe tier
+  for (std::uint64_t i = 0; i < 40; ++i) write(i * 5 * kKiB + 1, 3 * kKiB);
+  for (const std::uint64_t lo : {std::uint64_t(0), std::uint64_t(7777)}) {
+    Buffer out = MakePatternBuffer(kSpan - lo, 0xAB);
+    ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, lo, out).ok());
+    EXPECT_TRUE(
+        std::equal(out.begin(), out.end(), model.begin() + std::ptrdiff_t(lo)))
+        << "lo " << lo;
+  }
+  // Before the punch only the first record is visible.
+  Buffer before = MakePatternBuffer(kSpan, 0xAB);
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", 1, 0, before).ok());
+  EXPECT_EQ(before, at_first);
+}
+
+TEST_F(VosTest, ScatteredSmallOverwritesReadEachOlderChunkOnce) {
+  // A 1 MiB NVMe record with a 4 KiB SCM overwrite in every second 4 KiB:
+  // the old record fills 128 separate gaps, four inside each of its
+  // checksum chunks. The pieces of one chunk share one read and one check,
+  // so the whole-window fetch moves the record's 1 MiB off the device
+  // once, as a single-record read would.
+  Buffer model = MakePatternBuffer(kMiB, 1);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, model).ok());
+  for (std::uint64_t at = 4 * kKiB; at < kMiB; at += 8 * kKiB) {
+    Buffer data = MakePatternBuffer(4 * kKiB, 2, at);
+    ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 2, at, data).ok());
+    std::copy(data.begin(), data.end(), model.begin() + std::ptrdiff_t(at));
+  }
+  EXPECT_EQ(vos_->stats().nvme_records, 1u);
+  Buffer out(kMiB);
+  const std::uint64_t before = device_->bytes_read();
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
+  EXPECT_EQ(device_->bytes_read() - before, kMiB);
+  EXPECT_EQ(out, model);
+}
+
+TEST_F(VosTest, WindowsThatWrapPast64BitsAreRejected) {
+  const std::uint64_t top = ~std::uint64_t(0);
+  Buffer data = MakePatternBuffer(4 * kKiB, 1);
+  EXPECT_EQ(vos_->UpdateArray(oid_, "dk", "ak", 1, top - 99, data).code(),
+            ErrorCode::kInvalidArgument);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  Buffer out = MakePatternBuffer(4 * kKiB, 7);
+  EXPECT_EQ(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, top - 99, out).code(),
+      ErrorCode::kInvalidArgument);
+  // One past the window's last byte must fit in 64 bits too.
+  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead,
+                             top - 4 * kKiB + 1, out)
+                .code(),
+            ErrorCode::kInvalidArgument);
+  // The highest window that fits reads as a hole.
+  ASSERT_TRUE(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, top - 4 * kKiB, out)
+          .ok());
+  EXPECT_EQ(out, Buffer(4 * kKiB));
 }
 
 }  // namespace
