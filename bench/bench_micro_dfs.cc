@@ -15,6 +15,12 @@
 //     pipelined one issues it as an in-flight batch, so every flush or
 //     readahead refill pays one progress wakeup instead of one per chunk.
 //
+//  3. Listing a 512-entry directory: one Readdir, whose entry records
+//     come back with their names in one round trip, against 512
+//     sequential FetchSingle calls of the same records (what a listing
+//     that fetches each entry costs). Gated at <= 0.5x, and on exactly
+//     one served request per Readdir.
+//
 // The whole report is realtime-tagged: wall-clock rates churn by machine,
 // so benchctl keeps this section out of EXPERIMENTS.md and the committed
 // baseline. The pipelined >= 2x sequential ratio checks ARE gated (bench
@@ -37,6 +43,7 @@
 #include "daos/cluster.h"
 #include "dfs/dfs.h"
 #include "dfs/stream.h"
+#include "rpc/data_rpc.h"
 
 using namespace ros2;
 
@@ -64,6 +71,7 @@ struct DfsHarness {
   std::unique_ptr<daos::DaosClient> client;
   std::unique_ptr<dfs::Dfs> batched;
   std::unique_ptr<dfs::Dfs> sequential;
+  daos::ContainerId cont = 0;
   bool ok = false;
 
   explicit DfsHarness(int rep) {
@@ -90,14 +98,15 @@ struct DfsHarness {
     auto connected = cluster->Connect(options);
     if (!connected.ok()) return;
     client = std::move(*connected);
-    auto cont = client->ContainerCreate("dfs-bench");
-    if (!cont.ok()) return;
+    auto created = client->ContainerCreate("dfs-bench");
+    if (!created.ok()) return;
+    cont = *created;
 
     dfs::DfsConfig fast;
     fast.chunk_size = kChunk;
     fast.readahead_chunks = kWindowChunks;
     fast.write_coalesce_chunks = kWindowChunks;
-    auto fast_mount = dfs::Dfs::Mount(client.get(), *cont, /*create=*/true,
+    auto fast_mount = dfs::Dfs::Mount(client.get(), cont, /*create=*/true,
                                       fast);
     if (!fast_mount.ok()) return;
     batched = std::move(*fast_mount);
@@ -112,7 +121,7 @@ struct DfsHarness {
     slow.lookup_cache = false;
     slow.readahead_chunks = 1;
     slow.write_coalesce_chunks = 1;
-    auto slow_mount = dfs::Dfs::Mount(client.get(), *cont, /*create=*/false,
+    auto slow_mount = dfs::Dfs::Mount(client.get(), cont, /*create=*/false,
                                       slow);
     if (!slow_mount.ok()) return;
     sequential = std::move(*slow_mount);
@@ -246,11 +255,71 @@ CheckpointRates CheckpointRate(dfs::Dfs* mount, const std::string& path,
   return rates;
 }
 
+constexpr std::uint64_t kListEntries = 512;
+
+std::string ListingName(std::uint64_t i) { return "f" + std::to_string(i); }
+
+/// Readdir-vs-fetches arms on one harness: a = one Readdir of the
+/// 512-entry /listing, b = 512 sequential FetchSingle calls of the same
+/// entry records (akey "e", DFS's entry record). Seconds per arm.
+struct ListingArms {
+  bench::Pairs seconds;
+  /// Every Readdir was served by exactly one engine request.
+  bool one_request_each = true;
+};
+
+ListingArms MeasureListing(DfsHarness& h, int warmup, int pairs,
+                           bool* all_ok) {
+  ListingArms arms;
+  dfs::Dfs* mount = h.batched.get();
+  if (!mount->Mkdir("/listing").ok()) {
+    *all_ok = false;
+    return arms;
+  }
+  for (std::uint64_t i = 0; i < kListEntries; ++i) {
+    dfs::OpenFlags flags;
+    flags.create = true;
+    auto fd = mount->Open("/listing/" + ListingName(i), flags);
+    if (!fd.ok() || !mount->Close(*fd).ok()) {
+      *all_ok = false;
+      return arms;
+    }
+  }
+  auto dir = mount->Stat("/listing");  // warms the lookup cache
+  if (!dir.ok()) {
+    *all_ok = false;
+    return arms;
+  }
+  const rpc::RpcServer& server = *h.cluster->engine(0)->server();
+  for (int i = 0; i < warmup + pairs; ++i) {
+    const std::uint64_t served = server.requests_served();
+    const auto start = std::chrono::steady_clock::now();
+    auto listed = mount->Readdir("/listing");
+    const auto mid = std::chrono::steady_clock::now();
+    if (!listed.ok() || listed->size() != kListEntries) *all_ok = false;
+    if (server.requests_served() != served + 1) arms.one_request_each = false;
+    const auto fetch_start = std::chrono::steady_clock::now();
+    for (std::uint64_t e = 0; e < kListEntries; ++e) {
+      if (!h.client->FetchSingle(h.cont, dir->oid, ListingName(e), "e")
+               .ok()) {
+        *all_ok = false;
+      }
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    if (i < warmup) continue;
+    arms.seconds.Add(std::chrono::duration<double>(mid - start).count(),
+                     std::chrono::duration<double>(stop - fetch_start)
+                         .count());
+  }
+  return arms;
+}
+
 }  // namespace
 
 ROS2_BENCH_EXPERIMENT(micro_dfs,
                       "Pipelined vs sequential DFS data path wall-clock "
-                      "throughput (dataloader + checkpoint scenarios)") {
+                      "throughput (dataloader + checkpoint scenarios), "
+                      "and one-round-trip Readdir vs per-entry fetches") {
   ctx.report().MarkRealtime();
   ctx.Note(
       "Two mounts of one namespace: 'batched' = pipelined chunk batches + "
@@ -260,7 +329,10 @@ ROS2_BENCH_EXPERIMENT(micro_dfs,
       "stream write then restore of one large file (MiB/s). Rates are "
       "realtime counters — compare trajectories per machine, not across "
       "machines; the batched/sequential RATIOS are machine-independent "
-      "and gated at >= 2x.");
+      "and gated at >= 2x. Listing: a 512-entry directory, one Readdir "
+      "paired with 512 sequential FetchSingle calls of its entry records; "
+      "gated at median Readdir <= 0.5x median fetches, and at one served "
+      "engine request per Readdir.");
 
   const int repetitions = ctx.quick() ? 3 : 5;
   const std::uint64_t files = ctx.quick() ? 48 : 128;
@@ -367,6 +439,36 @@ ROS2_BENCH_EXPERIMENT(micro_dfs,
   ctx.Metric("dfs_checkpoint_speedup", "ratio", ckpt_ratio, {},
              bench::MetricDirection::kHigherIsBetter);
 
+  // Listing: one Readdir vs the per-entry fetches it replaces, paired.
+  ListingArms listing;
+  {
+    DfsHarness h(repetitions);
+    if (h.ok) {
+      listing = MeasureListing(h, /*warmup=*/3, ctx.quick() ? 15 : 40,
+                               &all_ok);
+    } else {
+      all_ok = false;
+    }
+  }
+  const double readdir_us = listing.seconds.MedianA() * 1e6;
+  const double fetches_us = listing.seconds.MedianB() * 1e6;
+  const double listing_ratio =
+      fetches_us > 0.0 ? readdir_us / fetches_us : 0.0;
+  AsciiTable list_table({"512-entry listing", "median us"});
+  char us_str[32];
+  std::snprintf(us_str, sizeof(us_str), "%.1f", fetches_us);
+  list_table.AddRow({"512 sequential FetchSingle", us_str});
+  std::snprintf(us_str, sizeof(us_str), "%.1f", readdir_us);
+  list_table.AddRow({"one Readdir", us_str});
+  ctx.Table("Readdir vs per-entry record fetches (wall clock)", list_table);
+  ctx.Metric("dfs_readdir_512_us", "us", readdir_us, {{"path", "readdir"}},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("dfs_readdir_512_us", "us", fetches_us,
+             {{"path", "per_entry_fetch"}},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("dfs_readdir_to_fetches_ratio", "ratio", listing_ratio, {},
+             bench::MetricDirection::kLowerIsBetter);
+
   ctx.Check("every DFS op succeeded", all_ok);
   // The tentpole gates: pipelined chunk batches + warm lookup cache must
   // be worth >= 2x on the many-small-file loop, and batched flush /
@@ -376,6 +478,10 @@ ROS2_BENCH_EXPERIMENT(micro_dfs,
             loader_ratio >= 2.0);
   ctx.Check("pipelined DFS checkpoint write+restore >= 2x sequential",
             ckpt_ratio >= 2.0);
+  ctx.Check("median 512-entry Readdir <= 0.5x 512 sequential fetches",
+            listing_ratio > 0.0 && listing_ratio <= 0.5);
+  ctx.Check("each Readdir is one engine request",
+            listing.seconds.size() > 0 && listing.one_request_each);
 }
 
 ROS2_BENCH_MAIN()

@@ -1,5 +1,6 @@
 #include "daos/client.h"
 
+#include <algorithm>
 #include <array>
 #include <set>
 
@@ -423,25 +424,6 @@ Status DaosClient::FetchBatch(std::span<const FetchOp> ops) {
   return Status::Ok();
 }
 
-Result<std::vector<Result<Buffer>>> DaosClient::FetchSingleBatch(
-    std::span<const SingleFetchOp> ops) {
-  std::vector<ObjCall> calls;
-  calls.reserve(ops.size());
-  for (const SingleFetchOp& op : ops) {
-    calls.emplace_back(DaosOpcode::kSingleFetch, kRead, op.cont, op.oid,
-                       op.dkey, op.akey, op.epoch)
-        .header.U64(op.epoch);
-  }
-  // Per-op outcomes: a missing record is data, not a batch failure —
-  // readdir skips punched entries by looking at each op's status. Only an
-  // issue-path error fails the whole call.
-  ROS2_RETURN_IF_ERROR(Run(calls));
-  std::vector<Result<Buffer>> out;
-  out.reserve(ops.size());
-  for (const ObjCall& call : calls) out.push_back(DecodeBytes(call.outcome));
-  return out;
-}
-
 // -------------------------------------------------------------- singles
 
 Result<Epoch> DaosClient::UpdateSingle(ContainerId cont, const ObjectId& oid,
@@ -505,10 +487,7 @@ Result<std::vector<std::string>> DaosClient::ListDkeys(ContainerId cont,
   return std::move(page.dkeys);
 }
 
-Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
-                                                       const ObjectId& oid,
-                                                       const std::string& marker,
-                                                       std::uint32_t limit) {
+Status DaosClient::CheckListable() const {
   // A dkey placed on engine p lives on p's replica ring, so the UP engines
   // hold every dkey only if each ring has a readable member. Otherwise the
   // listing would be silently partial (and DFS would unlink a non-empty
@@ -516,6 +495,14 @@ Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
   for (std::uint32_t p = 0; p < engines_.size(); ++p) {
     ROS2_RETURN_IF_ERROR(ReadEngine(p, kEpochHead).status());
   }
+  return Status::Ok();
+}
+
+Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
+                                                       const ObjectId& oid,
+                                                       const std::string& marker,
+                                                       std::uint32_t limit) {
+  ROS2_RETURN_IF_ERROR(CheckListable());
   // Each engine pre-filters (> marker) and pre-truncates to `limit`, so
   // the client merge set holds at most engines * limit entries, never the
   // whole directory.
@@ -546,6 +533,88 @@ Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
     more = true;
   }
   page.more = more;
+  return page;
+}
+
+Result<DaosClient::EntryPage> DaosClient::ListEntriesPage(
+    ContainerId cont, const ObjectId& oid, const std::string& akey,
+    const std::string& marker, std::uint32_t limit) {
+  ROS2_RETURN_IF_ERROR(CheckListable());
+  rpc::Encoder enc;
+  enc.U64(cont).U64(oid.hi).U64(oid.lo).Str(marker).U32(limit).Str(akey);
+  // Every readable engine's page, decoded in place: views into `replies`.
+  struct Listed {
+    std::string_view dkey;
+    std::span<const std::byte> value;
+  };
+  struct EnginePage {
+    std::uint32_t engine = 0;
+    std::vector<Listed> listed;
+    std::size_t pos = 0;  ///< merge cursor
+  };
+  std::vector<rpc::RpcReply> replies;
+  replies.reserve(engines_.size());
+  std::vector<EnginePage> pages;
+  bool more = false;
+  for (std::uint32_t e = 0; e < engines_.size(); ++e) {
+    if (!map_->readable(e)) continue;
+    ROS2_ASSIGN_OR_RETURN(
+        rpc::RpcReply reply,
+        Call(e, std::uint32_t(DaosOpcode::kListEntries), enc));
+    const Buffer& header = replies.emplace_back(std::move(reply)).header;
+    rpc::Decoder dec(header);
+    ROS2_ASSIGN_OR_RETURN(std::uint32_t count, dec.U32());
+    pages.emplace_back().engine = e;
+    std::vector<Listed>& listed = pages.back().listed;
+    // Each entry takes at least its two length prefixes.
+    listed.reserve(std::min<std::size_t>(count, dec.remaining() / 8));
+    for (std::uint32_t i = 0; i < count; ++i) {
+      Listed& entry = listed.emplace_back();
+      ROS2_ASSIGN_OR_RETURN(entry.dkey, dec.StrView());
+      ROS2_ASSIGN_OR_RETURN(entry.value, dec.BytesView());
+    }
+    ROS2_ASSIGN_OR_RETURN(std::uint8_t engine_more, dec.U8());
+    more = more || engine_more != 0;
+  }
+  // Merge the engines' sorted pages. Replicas list the same dkey, so each
+  // name counts once toward `limit`, and the page is cut at `limit` names
+  // BEFORE any is dropped: a dkey the read engine did not list (punched
+  // there, live on a stale replica) is dropped after the cut, and the
+  // resume marker stays the cut's last name, so a page whose names were
+  // all dropped still moves the walk forward.
+  EntryPage page;
+  std::uint32_t covered = 0;
+  std::string_view last;  // the cut's last name so far
+  for (;;) {
+    std::string_view next;
+    bool found = false;
+    for (const EnginePage& p : pages) {
+      if (p.pos < p.listed.size() && (!found || p.listed[p.pos].dkey < next)) {
+        next = p.listed[p.pos].dkey;
+        found = true;
+      }
+    }
+    if (!found) break;
+    if (limit != 0 && covered == limit) {
+      more = true;  // names past the cut remain
+      break;
+    }
+    ++covered;
+    last = next;
+    ROS2_ASSIGN_OR_RETURN(std::uint32_t reader,
+                          ReadEngine(PrimaryEngine(oid, next), kEpochHead));
+    for (EnginePage& p : pages) {
+      if (p.pos == p.listed.size() || p.listed[p.pos].dkey != next) continue;
+      const Listed& head = p.listed[p.pos++];
+      if (p.engine == reader) {
+        page.entries.push_back(
+            {std::string(head.dkey),
+             Buffer(head.value.begin(), head.value.end())});
+      }
+    }
+  }
+  page.more = more;
+  if (more) page.next_marker = last;
   return page;
 }
 

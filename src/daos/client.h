@@ -147,23 +147,6 @@ class DaosClient {
   /// Fails with the first failed op's error (short reads are DATA_LOSS).
   Status FetchBatch(std::span<const FetchOp> ops);
 
-  /// One single-value read in a pipelined batch (kSingleFetch is a
-  /// header-reply op, so there is no caller-owned out window to pin).
-  struct SingleFetchOp {
-    ContainerId cont = 0;
-    ObjectId oid;
-    std::string dkey;
-    std::string akey;
-    Epoch epoch = kEpochHead;
-  };
-
-  /// Pipelined single-value reads (DFS readdir fetches a page of entry
-  /// records in one window). Per-op outcomes are independent — a missing
-  /// record is that op's NOT_FOUND, not the batch's — so the call itself
-  /// only fails on issue-path errors (no UP engine, encode failures).
-  Result<std::vector<Result<Buffer>>> FetchSingleBatch(
-      std::span<const SingleFetchOp> ops);
-
   Result<Epoch> UpdateSingle(ContainerId cont, const ObjectId& oid,
                              const std::string& dkey, const std::string& akey,
                              std::span<const std::byte> value);
@@ -188,14 +171,45 @@ class DaosClient {
     bool more = false;
   };
 
-  /// Server-side paged enumeration: every UP engine filters `> marker`,
-  /// sorts, and truncates to `limit` before replying, so a million-entry
-  /// directory never materializes whole on either side (limit 0 = all).
-  /// UNAVAILABLE when some engine's dkeys have no UP replica — a listing
-  /// is complete or it is an error, never silently partial.
+  /// Server-side paged enumeration: every UP engine lists its dkeys
+  /// `> marker` in order, merged from its targets and truncated to
+  /// `limit` before replying, so a million-entry directory never
+  /// materializes whole on either side (limit 0 = all). UNAVAILABLE when
+  /// some engine's dkeys have no UP replica — a listing is complete or it
+  /// is an error, never silently partial.
   Result<DkeyPage> ListDkeysPage(ContainerId cont, const ObjectId& oid,
                                  const std::string& marker,
                                  std::uint32_t limit);
+
+  /// One page of an object's dkeys, each with its record.
+  struct EntryPage {
+    struct Entry {
+      std::string dkey;
+      Buffer value;  ///< the visible HEAD single value of the listed akey
+    };
+    std::vector<Entry> entries;  ///< ascending by dkey
+    /// True when dkeys past this page remain.
+    bool more = false;
+    /// The next page's marker (set iff `more`): the last dkey this page
+    /// covered, which sorts after entries.back() when the page's trailing
+    /// dkeys were dropped (see ListEntriesPage).
+    std::string next_marker;
+  };
+
+  /// ListDkeysPage that also returns, per dkey, the HEAD single value of
+  /// `akey` — a directory listing with every entry record in one round
+  /// trip per engine. Only dkeys with a visible value are listed: one
+  /// whose value is absent or punched is skipped, and any other error
+  /// (DATA_LOSS on a failed checksum) fails the page. The listing is the
+  /// one ListDkeysPage then FetchSingle per dkey would give: across
+  /// replicas the names are deduplicated, the merge is cut at `limit`,
+  /// and a dkey is then kept only with the value of the engine a HEAD
+  /// read of it goes to (ReadEngine), so a name punched there but still
+  /// live on a stale replica is not listed.
+  Result<EntryPage> ListEntriesPage(ContainerId cont, const ObjectId& oid,
+                                    const std::string& akey,
+                                    const std::string& marker,
+                                    std::uint32_t limit);
   Result<std::vector<std::string>> ListAkeys(ContainerId cont,
                                              const ObjectId& oid,
                                              const std::string& dkey);
@@ -267,6 +281,9 @@ class DaosClient {
   /// itself for a snapshot epoch (it must be UP), the first UP replica for
   /// kEpochHead. UNAVAILABLE when there is none.
   Result<std::uint32_t> ReadEngine(std::uint32_t primary, Epoch epoch) const;
+  /// OK when every engine's dkeys have an UP replica to be listed from —
+  /// the condition for a listing that is not silently partial.
+  Status CheckListable() const;
   /// Records `call`'s missed replica copy owed to `engine` in the pool
   /// map's resync journal.
   void JournalMiss(std::uint32_t engine, const ObjCall& call);

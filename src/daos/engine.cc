@@ -29,6 +29,7 @@ std::string DaosOpcodeName(std::uint32_t opcode) {
     case DaosOpcode::kObjScan: return "obj_scan";
     case DaosOpcode::kDkeyExport: return "dkey_export";
     case DaosOpcode::kDkeyImport: return "dkey_import";
+    case DaosOpcode::kListEntries: return "list_entries";
   }
   return "op" + std::to_string(opcode);
 }
@@ -57,6 +58,23 @@ bool IsObjectPunch(rpc::Decoder tail) {
   auto scope = tail.U8();
   return scope.ok() && PunchScope(*scope) == PunchScope::kObject;
 }
+
+/// Reads one target's run of a dkey listing in place: `dkey` (and
+/// `value`, for kListEntries) is the run's smallest entry not yet merged.
+struct RunCursor {
+  rpc::Decoder dec;
+  std::uint32_t left = 0;  ///< entries from `dkey` on
+  std::string_view dkey;
+  std::span<const std::byte> value;
+
+  Status Next(bool entries) {
+    ROS2_ASSIGN_OR_RETURN(dkey, dec.StrView());
+    if (entries) {
+      ROS2_ASSIGN_OR_RETURN(value, dec.BytesView());
+    }
+    return Status::Ok();
+  }
+};
 
 /// One akey of a kDkeyExport image (the kDkeyImport payload).
 struct DkeyImageEntry {
@@ -357,6 +375,7 @@ void DaosEngine::RegisterHandlers() {
   answer(DaosOpcode::kOidAlloc, &DaosEngine::HandleOidAlloc);
   answer(DaosOpcode::kTelemetryQuery, &DaosEngine::HandleTelemetryQuery);
   barrier(DaosOpcode::kListDkeys, &DaosEngine::HandleListDkeys);
+  barrier(DaosOpcode::kListEntries, &DaosEngine::HandleListEntries);
   barrier(DaosOpcode::kObjScan, &DaosEngine::HandleObjScan);
   // The one placement decided at dispatch: an object-scope punch runs as
   // a barrier, a dkey/akey punch on the dkey's xstream.
@@ -477,6 +496,14 @@ Result<Buffer> DaosEngine::HandleOidAlloc(const Buffer& header) {
 }
 
 Result<Buffer> DaosEngine::HandleListDkeys(const Buffer& header) {
+  return ListDkeyPage(header, /*entries=*/false);
+}
+
+Result<Buffer> DaosEngine::HandleListEntries(const Buffer& header) {
+  return ListDkeyPage(header, /*entries=*/true);
+}
+
+Result<Buffer> DaosEngine::ListDkeyPage(const Buffer& header, bool entries) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(ContainerId cont_id, dec.U64());
   ObjectId oid;
@@ -484,27 +511,57 @@ Result<Buffer> DaosEngine::HandleListDkeys(const Buffer& header) {
   ROS2_ASSIGN_OR_RETURN(oid.lo, dec.U64());
   ROS2_ASSIGN_OR_RETURN(std::string marker, dec.Str());
   ROS2_ASSIGN_OR_RETURN(std::uint32_t limit, dec.U32());
+  std::string akey;
+  if (entries) {
+    ROS2_ASSIGN_OR_RETURN(akey, dec.Str());
+  }
   ROS2_RETURN_IF_ERROR(FindContainer(cont_id).status());
-  // Paged enumeration (limit 0 = everything): filter strictly past the
-  // marker, sort, and truncate server-side so a million-entry directory
-  // ships one page per round trip, not the whole namespace.
-  std::vector<std::string> all;
-  for (auto& target : targets_) {
-    for (auto& dkey : target.vos->ListDkeys(oid)) {
-      if (!marker.empty() && dkey <= marker) continue;
-      all.push_back(std::move(dkey));
+  // Paged enumeration (limit 0 = everything): each target lists its first
+  // `limit` dkeys past the marker, in order, so the page is the first
+  // `limit` entries of their merge and a million-entry directory ships
+  // one page per round trip, not the whole namespace.
+  std::vector<rpc::Encoder> runs(targets_.size());
+  std::vector<RunCursor> heads;
+  std::uint64_t total = 0;
+  bool more = false;
+  for (std::size_t t = 0; t < targets_.size(); ++t) {
+    ROS2_ASSIGN_OR_RETURN(
+        Vos::DkeyRun run,
+        targets_[t].vos->EnumerateDkeys(oid, marker, limit,
+                                        entries ? &akey : nullptr, runs[t]));
+    ROS2_RETURN_IF_ERROR(runs[t].status());
+    more = more || run.more;
+    if (run.count == 0) continue;
+    total += run.count;
+    heads.push_back({rpc::Decoder(runs[t].buffer()), run.count, {}, {}});
+    ROS2_RETURN_IF_ERROR(heads.back().Next(entries));
+  }
+  const std::uint32_t count = limit != 0 && total > limit
+                                  ? limit
+                                  : std::uint32_t(total);
+  more = more || total > count;
+  // K-way merge through a min-heap of run heads. A dkey lives on exactly
+  // one target of an engine, so the runs never tie.
+  auto after = [](const RunCursor& a, const RunCursor& b) {
+    return a.dkey > b.dkey;
+  };
+  std::make_heap(heads.begin(), heads.end(), after);
+  rpc::Encoder enc;
+  enc.U32(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::pop_heap(heads.begin(), heads.end(), after);
+    RunCursor& head = heads.back();
+    enc.Str(head.dkey);
+    if (entries) enc.Bytes(head.value);
+    if (--head.left == 0) {
+      heads.pop_back();
+    } else {
+      ROS2_RETURN_IF_ERROR(head.Next(entries));
+      std::push_heap(heads.begin(), heads.end(), after);
     }
   }
-  std::sort(all.begin(), all.end());
-  bool more = false;
-  if (limit != 0 && all.size() > limit) {
-    all.resize(limit);
-    more = true;
-  }
-  rpc::Encoder enc;
-  enc.U32(std::uint32_t(all.size()));
-  for (const auto& dkey : all) enc.Str(dkey);
   enc.U8(more ? 1 : 0);
+  ROS2_RETURN_IF_ERROR(enc.status());
   return enc.Take();
 }
 

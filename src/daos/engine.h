@@ -22,7 +22,9 @@
 // targets interleave. Metadata ops answer inline from dispatch. The
 // barrier ops — object punch, dkey listing and the rebuild scan — touch
 // every target, so they drain the xstreams first and observe every
-// previously-issued op.
+// previously-issued op. A dkey listing merges the targets' sorted runs,
+// and can carry each dkey's record along (kListEntries), so a directory
+// listing is one round trip.
 #pragma once
 
 #include <atomic>
@@ -60,6 +62,10 @@ enum class DaosOpcode : std::uint32_t {
   kSingleUpdate,
   kSingleFetch,
   kObjPunch,
+  /// Paged dkey listing of one object, all targets (barrier). Header:
+  /// u64 cont, u64 oid.hi, u64 oid.lo, str marker, u32 limit (0 = all).
+  /// Reply: u32 count, then count x str dkey (ascending, all > marker),
+  /// then u8 more.
   kListDkeys,
   kListAkeys,
   kArraySize,
@@ -81,6 +87,12 @@ enum class DaosOpcode : std::uint32_t {
   /// apply at fresh epochs). Header = ObjAddr (akey ignored) + bytes(the
   /// kDkeyExport reply, verbatim). Reply: u64 payload bytes applied.
   kDkeyImport,
+  /// kListDkeys with each dkey's record (barrier): the kListDkeys header
+  /// followed by str akey. Lists only the dkeys whose akey has a visible
+  /// HEAD single value; reply: u32 count, then count x {str dkey, bytes
+  /// value}, then u8 more. Any error but an absent or punched value fails
+  /// the whole page (a failed checksum is DATA_LOSS).
+  kListEntries,
 };
 
 /// Metric-path name for an opcode ("single_update"); "op<number>" for
@@ -281,6 +293,10 @@ class DaosEngine {
   Result<Buffer> HandleContOpen(const Buffer& header);
   Result<Buffer> HandleOidAlloc(const Buffer& header);
   Result<Buffer> HandleListDkeys(const Buffer& header);
+  Result<Buffer> HandleListEntries(const Buffer& header);
+  /// Both listings: every target appends its sorted run (names, plus the
+  /// `akey` values when `entries`), and the reply is their merge.
+  Result<Buffer> ListDkeyPage(const Buffer& header, bool entries);
   Result<Buffer> HandleTelemetryQuery(const Buffer& header);
   Result<Buffer> HandleObjScan(const Buffer& header);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/crc.h"
+#include "rpc/wire.h"
 
 namespace ros2::daos {
 namespace {
@@ -341,22 +342,46 @@ Status Vos::UpdateSingle(const ObjectId& oid, const std::string& dkey,
   return Status::Ok();
 }
 
+Result<const Vos::SingleRecord*> Vos::VisibleSingle(const AkeyValue& value,
+                                                     Epoch epoch) {
+  if (value.type != ValueType::kSingle) {
+    return InvalidArgument("akey value type mismatch");
+  }
+  const SingleRecord* visible = nullptr;
+  for (const SingleRecord& rec : value.singles) {
+    if (epoch != kEpochHead && rec.epoch > epoch) continue;
+    visible = &rec;
+  }
+  return visible == nullptr || visible->punch ? nullptr : visible;
+}
+
 Result<Buffer> Vos::FetchSingle(const ObjectId& oid, const std::string& dkey,
                                 const std::string& akey, Epoch epoch) const {
   ROS2_ASSIGN_OR_RETURN(const AkeyValue* value,
                         FindValue(oid, dkey, akey, ValueType::kSingle));
-  const SingleRecord* visible = nullptr;
-  for (const SingleRecord& rec : value->singles) {
-    if (epoch != kEpochHead && rec.epoch > epoch) continue;
-    visible = &rec;
-  }
-  if (visible == nullptr || visible->punch) {
-    return Status(NotFound("no visible value at epoch"));
-  }
+  ROS2_ASSIGN_OR_RETURN(const SingleRecord* visible,
+                        VisibleSingle(*value, epoch));
+  if (visible == nullptr) return Status(NotFound("no visible value at epoch"));
   Buffer out(visible->loc.logical_len);
   ChunkCache cache;
   ROS2_RETURN_IF_ERROR(Load(visible->loc, 0, out, cache));
   return out;
+}
+
+Result<std::span<std::byte>> Vos::ScmBytesForTest(const ObjectId& oid,
+                                                  const std::string& dkey,
+                                                  const std::string& akey) {
+  ROS2_ASSIGN_OR_RETURN(const AkeyValue* value,
+                        FindValue(oid, dkey, akey, ValueType::kSingle));
+  ROS2_ASSIGN_OR_RETURN(const SingleRecord* visible,
+                        VisibleSingle(*value, kEpochHead));
+  if (visible == nullptr) return Status(NotFound("no visible value"));
+  if (visible->loc.tier != ValueLoc::Tier::kScm) {
+    return Status(FailedPrecondition("value lives on NVMe"));
+  }
+  ROS2_ASSIGN_OR_RETURN(std::span<std::byte> bytes,
+                        scm_->Deref(visible->loc.scm_handle));
+  return bytes.first(visible->loc.logical_len);
 }
 
 // ---------------------------------------------------------------- punch
@@ -435,6 +460,43 @@ std::vector<std::string> Vos::ListAkeys(const ObjectId& oid,
   out.reserve(dk->second.size());
   for (const auto& [akey, _] : dk->second) out.push_back(akey);
   return out;
+}
+
+Result<Vos::DkeyRun> Vos::EnumerateDkeys(const ObjectId& oid,
+                                         const std::string& marker,
+                                         std::uint32_t limit,
+                                         const std::string* akey,
+                                         rpc::Encoder& out) const {
+  DkeyRun run;
+  auto obj = objects_.find(oid);
+  if (obj == objects_.end()) return run;
+  const Object& dkeys = obj->second;
+  for (auto dk = marker.empty() ? dkeys.begin() : dkeys.upper_bound(marker);
+       dk != dkeys.end(); ++dk) {
+    Result<const SingleRecord*> value = nullptr;
+    if (akey != nullptr) {
+      auto ak = dk->second.find(*akey);
+      if (ak == dk->second.end()) continue;
+      value = VisibleSingle(ak->second, kEpochHead);
+      if (value.ok() && *value == nullptr) continue;
+    }
+    // The first dkey past a full run only decides `more`: its error, if
+    // any, belongs to the page that lists it.
+    if (limit != 0 && run.count == limit) {
+      run.more = true;
+      break;
+    }
+    ROS2_RETURN_IF_ERROR(value.status());
+    out.Str(dk->first);
+    if (akey != nullptr) {
+      const ValueLoc& loc = (*value)->loc;
+      ChunkCache cache;
+      ROS2_RETURN_IF_ERROR(
+          Load(loc, 0, out.BytesInPlace(loc.logical_len), cache));
+    }
+    ++run.count;
+  }
+  return run;
 }
 
 bool Vos::ObjectExists(const ObjectId& oid) const {

@@ -35,6 +35,10 @@
 #include "scm/pmem_pool.h"
 #include "spdk/bdev.h"
 
+namespace ros2::rpc {
+class Encoder;
+}  // namespace ros2::rpc
+
 namespace ros2::daos {
 
 struct VosConfig {
@@ -113,6 +117,24 @@ class Vos {
 
   // --- enumeration -------------------------------------------------------
   std::vector<std::string> ListDkeys(const ObjectId& oid) const;
+
+  /// What one EnumerateDkeys call appended.
+  struct DkeyRun {
+    std::uint32_t count = 0;  ///< dkeys appended
+    bool more = false;        ///< a dkey the run would list remains
+  };
+  /// This target's run of a paged dkey enumeration: the dkeys of `oid`
+  /// after `marker` (every dkey when it is empty), ascending, at most
+  /// `limit` of them (0 = no limit), each appended to `out` as Str(dkey).
+  /// With an `akey`, each is followed by Bytes(its visible HEAD single
+  /// value under that akey), loaded and verified straight into `out`; a
+  /// dkey whose value is absent or punched is skipped, and any other
+  /// error (a value type mismatch, a failed checksum) fails the run.
+  Result<DkeyRun> EnumerateDkeys(const ObjectId& oid,
+                                 const std::string& marker,
+                                 std::uint32_t limit, const std::string* akey,
+                                 rpc::Encoder& out) const;
+
   std::vector<std::string> ListAkeys(const ObjectId& oid,
                                      const std::string& dkey) const;
   bool ObjectExists(const ObjectId& oid) const;
@@ -140,6 +162,13 @@ class Vos {
                         const std::string& akey, Epoch upto);
 
   const VosStats& stats() const { return stats_; }
+
+  /// For tests that corrupt a stored record: the SCM bytes behind the
+  /// visible HEAD single value under (oid, dkey, akey). NOT_FOUND when
+  /// there is none; FAILED_PRECONDITION when it lives on NVMe.
+  Result<std::span<std::byte>> ScmBytesForTest(const ObjectId& oid,
+                                               const std::string& dkey,
+                                               const std::string& akey);
 
  private:
   /// Where a record's bytes physically live.
@@ -198,6 +227,10 @@ class Vos {
                                      const std::string& dkey,
                                      const std::string& akey,
                                      ValueType expected) const;
+  /// The record FetchSingle reads at `epoch`; nullptr when the akey has no
+  /// visible value there (never written, or punched).
+  static Result<const SingleRecord*> VisibleSingle(const AkeyValue& value,
+                                                   Epoch epoch);
 
   scm::PmemPool* scm_;
   spdk::Bdev* nvme_;

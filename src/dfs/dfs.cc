@@ -398,34 +398,25 @@ Result<ReaddirResult> Dfs::Readdir(const std::string& path,
   }
   const std::string marker =
       page.marker.empty() ? std::string(kFirstEntryMarker) : page.marker;
+  // One round trip per engine lists the page's names with their entry
+  // records. An entry punched mid-listing is not listed; one whose record
+  // cannot be read fails the listing (an unreadable entry must not make a
+  // directory look emptier than it is, or Unlink would orphan it).
   ROS2_ASSIGN_OR_RETURN(
-      daos::DaosClient::DkeyPage dkeys,
-      client_->ListDkeysPage(cont_, stat.oid, marker, page.limit));
+      daos::DaosClient::EntryPage listed,
+      client_->ListEntriesPage(cont_, stat.oid, kEntryAkey, marker,
+                               page.limit));
   readdir_pages_.Add(1);
-  // One pipelined batch for every entry record on the page — the old
-  // N+1 loop cost one blocking round trip per entry.
-  std::vector<daos::DaosClient::SingleFetchOp> ops;
-  ops.reserve(dkeys.dkeys.size());
-  for (const std::string& name : dkeys.dkeys) {
-    daos::DaosClient::SingleFetchOp op;
-    op.cont = cont_;
-    op.oid = stat.oid;
-    op.dkey = name;
-    op.akey = kEntryAkey;
-    ops.push_back(std::move(op));
-  }
-  ROS2_ASSIGN_OR_RETURN(auto raws, client_->FetchSingleBatch(ops));
   ReaddirResult out;
-  out.entries.reserve(raws.size());
-  for (std::size_t i = 0; i < raws.size(); ++i) {
-    if (!raws[i].ok()) continue;  // entry punched mid-listing
-    ROS2_ASSIGN_OR_RETURN(DfsStat entry, DecodeEntry(*raws[i]));
-    CacheInsert(stat.oid, dkeys.dkeys[i], entry);
-    out.entries.push_back({dkeys.dkeys[i], entry.type});
+  out.entries.reserve(listed.entries.size());
+  for (const auto& [name, record] : listed.entries) {
+    ROS2_ASSIGN_OR_RETURN(DfsStat entry, DecodeEntry(record));
+    CacheInsert(stat.oid, name, entry);
+    out.entries.push_back({name, entry.type});
   }
   readdir_entries_.Add(out.entries.size());
-  out.more = dkeys.more;
-  if (out.more && !dkeys.dkeys.empty()) out.next_marker = dkeys.dkeys.back();
+  out.more = listed.more;
+  out.next_marker = std::move(listed.next_marker);
   return out;
 }
 

@@ -17,8 +17,9 @@
 // chunk op up front and issue the whole set through
 // DaosClient::FetchBatch/UpdateBatch, so one engine progress tick services
 // the full request instead of one round trip per chunk. Readdir lists one
-// dkey page server-side, then fetches every entry record in a single
-// FetchSingleBatch (no N+1 loop). Repeated path walks hit a bounded LRU
+// page of entries server-side, each name with its entry record
+// (DaosClient::ListEntriesPage: one round trip per engine, no per-entry
+// fetch). Repeated path walks hit a bounded LRU
 // lookup cache keyed (parent oid, name). Every accelerator has a kill
 // switch in DfsConfig; counters land under the dfs/* telemetry subtree
 // via AttachTelemetry.
@@ -92,7 +93,8 @@ struct ReaddirResult {
   /// True when names past this page remain.
   bool more = false;
   /// Pass as the next page's marker (set iff `more`). May sort after
-  /// entries.back().name when trailing names were punched mid-listing.
+  /// entries.back().name when the page's trailing names were dropped (a
+  /// name still live on a stale replica but punched where it is read).
   std::string next_marker;
 };
 
@@ -123,7 +125,8 @@ class Dfs {
   Result<DfsStat> Stat(const std::string& path);
   Result<std::vector<DirEntry>> Readdir(const std::string& path);
   /// Paged listing for directories too large to materialize at once: one
-  /// server-side dkey page, then one batched entry fetch for the page.
+  /// server-side page of names with their entry records. Fails (DATA_LOSS
+  /// on a failed checksum) rather than omit an entry it cannot read.
   Result<ReaddirResult> Readdir(const std::string& path,
                                 const ReaddirPage& page);
   Status Unlink(const std::string& path);  ///< file or empty directory

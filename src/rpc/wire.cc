@@ -64,6 +64,16 @@ Encoder& Encoder::Bytes(std::span<const std::byte> v) {
   return *this;
 }
 
+std::span<std::byte> Encoder::BytesInPlace(std::size_t size) {
+  if (std::uint64_t(size) > kMaxLenPrefix) {
+    overflowed_ = true;
+    return {};
+  }
+  U32(std::uint32_t(size));
+  buf_.resize(buf_.size() + size);
+  return std::span<std::byte>(buf_).last(size);
+}
+
 Status Decoder::Need(std::size_t n) const {
   if (data_.size() - pos_ < n) {
     return DataLoss("truncated RPC message");
@@ -104,19 +114,23 @@ Result<std::uint64_t> Decoder::U64() {
   return v;
 }
 Result<std::string> Decoder::Str() {
-  ROS2_ASSIGN_OR_RETURN(std::uint32_t len, U32());
-  ROS2_RETURN_IF_ERROR(Need(len));
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
-  return out;
+  ROS2_ASSIGN_OR_RETURN(std::string_view v, StrView());
+  return std::string(v);
 }
 Result<Buffer> Decoder::Bytes() {
+  ROS2_ASSIGN_OR_RETURN(std::span<const std::byte> v, BytesView());
+  return Buffer(v.begin(), v.end());
+}
+Result<std::string_view> Decoder::StrView() {
+  ROS2_ASSIGN_OR_RETURN(std::span<const std::byte> v, BytesView());
+  return std::string_view(reinterpret_cast<const char*>(v.data()), v.size());
+}
+Result<std::span<const std::byte>> Decoder::BytesView() {
   ROS2_ASSIGN_OR_RETURN(std::uint32_t len, U32());
   ROS2_RETURN_IF_ERROR(Need(len));
-  Buffer out(data_.begin() + std::ptrdiff_t(pos_),
-             data_.begin() + std::ptrdiff_t(pos_ + len));
+  const std::span<const std::byte> v = data_.subspan(pos_, len);
   pos_ += len;
-  return out;
+  return v;
 }
 
 }  // namespace ros2::rpc

@@ -40,6 +40,9 @@ class Encoder {
   Encoder& U64(std::uint64_t v);
   Encoder& Str(std::string_view v);              ///< u32 length + bytes
   Encoder& Bytes(std::span<const std::byte> v);  ///< u32 length + bytes
+  /// Bytes() whose `size` payload bytes the caller fills in place: returns
+  /// them (zeroed), valid until the next append; empty on overflow.
+  std::span<std::byte> BytesInPlace(std::size_t size);
 
   /// False once any length field overflowed its u32 prefix. A frame from
   /// an overflowed encoder is incomplete and must not be sent.
@@ -65,6 +68,9 @@ class Decoder {
   Result<std::uint64_t> U64();
   Result<std::string> Str();
   Result<Buffer> Bytes();
+  /// Str()/Bytes() without the copy: views into the frame.
+  Result<std::string_view> StrView();
+  Result<std::span<const std::byte>> BytesView();
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool Done() const { return pos_ == data_.size(); }

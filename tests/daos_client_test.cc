@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -280,6 +281,58 @@ long MinorFaults() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return usage.ru_minflt;
+}
+
+TEST(DkeyListingTest, PagesReportMoreEvenWhenOneTargetHoldsThemAll) {
+  // With one target the page is that target's run alone, so `more` must
+  // come from the run itself, not from the merge overshooting `limit`.
+  for (std::uint32_t targets : {1u, 4u}) {
+    ClusterSpec spec;
+    spec.engine.targets = targets;
+    spec.engine.scm_per_target = 4 * kMiB;
+    auto cluster = Cluster::Boot(spec);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    auto client = (*cluster)->Connect({});
+    ASSERT_TRUE(client.ok());
+    DaosClient& c = **client;
+    auto cont = c.ContainerCreate("c");
+    ASSERT_TRUE(cont.ok());
+    const ObjectId oid{*cont, 7};
+    for (const char* dkey : {"a", "b", "c", "d", "e", "f"}) {
+      ASSERT_TRUE(c.UpdateSingle(*cont, oid, dkey, "e",
+                                 MakePatternBuffer(4, std::uint64_t(*dkey)))
+                      .ok());
+    }
+    ASSERT_TRUE(c.PunchDkey(*cont, oid, "f").ok());  // listed by name only
+
+    std::vector<std::size_t> name_pages;
+    std::vector<std::size_t> entry_pages;
+    std::string name_marker;
+    std::string entry_marker;
+    for (int page = 0; page < 8; ++page) {
+      auto names = c.ListDkeysPage(*cont, oid, name_marker, 2);
+      ASSERT_TRUE(names.ok());
+      name_pages.push_back(names->dkeys.size());
+      if (!names->more) break;
+      name_marker = names->dkeys.back();
+    }
+    for (int page = 0; page < 8; ++page) {
+      auto entries = c.ListEntriesPage(*cont, oid, "e", entry_marker, 2);
+      ASSERT_TRUE(entries.ok());
+      entry_pages.push_back(entries->entries.size());
+      for (const auto& entry : entries->entries) {
+        EXPECT_EQ(entry.value,
+                  MakePatternBuffer(4, std::uint64_t(entry.dkey[0])));
+      }
+      if (!entries->more) break;
+      EXPECT_EQ(entries->next_marker, entries->entries.back().dkey);
+      entry_marker = entries->next_marker;
+    }
+    EXPECT_EQ(name_pages, (std::vector<std::size_t>{2, 2, 2}))
+        << targets << " target(s)";
+    EXPECT_EQ(entry_pages, (std::vector<std::size_t>{2, 2, 1}))
+        << targets << " target(s)";
+  }
 }
 
 #if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \

@@ -155,18 +155,38 @@ TEST_P(DfsFuzzTest, RandomOpsMatchReferenceFs) {
     EXPECT_EQ(got, bytes) << path;
   }
 
-  // Directory listings agree with the reference's name set.
-  std::set<std::string> listed;
+  // Directory listings agree with the reference's names and types (the
+  // fuzz only creates files), and a paged walk with a seeded page size
+  // concatenates to the unpaged listing, each name once.
+  std::map<std::string, InodeType> listed;
+  const std::uint32_t limit = std::uint32_t(1 + rng.Below(7));
   for (int d = 0; d < 4; ++d) {
     const std::string dir = "/d" + std::to_string(d);
     auto entries = dfs_->Readdir(dir);
     ASSERT_TRUE(entries.ok());
     for (const auto& entry : *entries) {
-      listed.insert(dir + "/" + entry.name);
+      listed[dir + "/" + entry.name] = entry.type;
+    }
+    std::vector<DirEntry> paged;
+    ReaddirPage page;
+    page.limit = limit;
+    for (int pages = 0;; ++pages) {
+      ASSERT_LE(pages, 6) << dir << " limit " << limit;
+      auto result = dfs_->Readdir(dir, page);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      paged.insert(paged.end(), result->entries.begin(),
+                   result->entries.end());
+      if (!result->more) break;
+      page.marker = result->next_marker;
+    }
+    ASSERT_EQ(paged.size(), entries->size()) << dir << " limit " << limit;
+    for (std::size_t i = 0; i < paged.size(); ++i) {
+      EXPECT_EQ(paged[i].name, (*entries)[i].name) << dir << " #" << i;
+      EXPECT_EQ(paged[i].type, (*entries)[i].type) << dir << " #" << i;
     }
   }
-  std::set<std::string> expected;
-  for (const auto& [path, _] : ref) expected.insert(path);
+  std::map<std::string, InodeType> expected;
+  for (const auto& [path, _] : ref) expected[path] = InodeType::kFile;
   EXPECT_EQ(listed, expected);
 }
 

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
 #include "daos/cluster.h"
+#include "daos/placement.h"
 
 namespace ros2::dfs {
 namespace {
@@ -169,6 +173,92 @@ TEST_P(DfsTest, ReaddirSortedAndTyped) {
   EXPECT_EQ((*entries)[1].name, "middle");
   EXPECT_EQ((*entries)[1].type, InodeType::kDirectory);
   EXPECT_EQ((*entries)[2].name, "zebra");
+}
+
+TEST_P(DfsTest, UnreadableEntryFailsReaddirAndKeepsTheDirectory) {
+  // An entry whose record fails its checksum is not "punched": the
+  // listing must fail, or Unlink would remove the directory as empty and
+  // orphan its children.
+  ASSERT_TRUE(dfs_->Mkdir("/dir").ok());
+  OpenFlags create;
+  create.create = true;
+  for (const char* name : {"/dir/a", "/dir/b", "/dir/c"}) {
+    auto fd = dfs_->Open(name, create);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(dfs_->Close(*fd).ok());
+  }
+  auto dir = dfs_->Stat("/dir");
+  ASSERT_TRUE(dir.ok());
+  // Flip one byte of "b"'s entry record (akey "e") in its target's SCM.
+  daos::DaosEngine* engine = cluster_->engine(0);
+  auto stored = engine
+                    ->target_vos(daos::PlaceDkey(dir->oid, "b",
+                                                 engine->num_targets()))
+                    ->ScmBytesForTest(dir->oid, "b", "e");
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  ASSERT_FALSE(stored->empty());
+  (*stored)[0] ^= std::byte{0xFF};
+
+  EXPECT_EQ(dfs_->Readdir("/dir").status().code(), ErrorCode::kDataLoss);
+  ReaddirPage page;
+  page.limit = 1;
+  page.marker = "a";
+  EXPECT_EQ(dfs_->Readdir("/dir", page).status().code(),
+            ErrorCode::kDataLoss);
+  EXPECT_FALSE(dfs_->Unlink("/dir").ok());
+  EXPECT_TRUE(dfs_->Stat("/dir").ok());
+  // Pages that do not reach the bad entry still list.
+  page.marker = "b";
+  auto rest = dfs_->Readdir("/dir", page);
+  ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+  ASSERT_EQ(rest->entries.size(), 1u);
+  EXPECT_EQ(rest->entries[0].name, "c");
+  EXPECT_FALSE(rest->more);
+}
+
+TEST_P(DfsTest, PagedReaddirAcrossUnlinksListsOnlyLiveNamesInFullPages) {
+  ASSERT_TRUE(dfs_->Mkdir("/churn").ok());
+  OpenFlags create;
+  create.create = true;
+  std::set<std::string> live;
+  for (int i = 0; i < 30; ++i) {
+    const std::string name = "f" + std::to_string(10 + i);
+    auto fd = dfs_->Open("/churn/" + name, create);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(dfs_->Close(*fd).ok());
+    live.insert(name);
+  }
+  // Between pages, unlink the two live names right after the marker: the
+  // next page skips their punched entries server-side and is still full.
+  ReaddirPage page;
+  page.limit = 4;
+  std::set<std::string> listed;
+  int pages = 0;
+  for (;;) {
+    ASSERT_LT(++pages, 30) << "the walk does not terminate";
+    auto result = dfs_->Readdir("/churn", page);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (const DirEntry& entry : result->entries) {
+      EXPECT_TRUE(live.contains(entry.name)) << entry.name << " is unlinked";
+      EXPECT_TRUE(listed.insert(entry.name).second) << entry.name;
+      EXPECT_GT(entry.name, page.marker);
+    }
+    if (!result->more) break;
+    EXPECT_EQ(result->entries.size(), page.limit) << "page " << pages;
+    page.marker = result->next_marker;
+    auto next = live.upper_bound(page.marker);
+    for (int k = 0; k < 2 && next != live.end(); ++k) {
+      ASSERT_TRUE(dfs_->Unlink("/churn/" + *next).ok());
+      next = live.erase(next);
+    }
+  }
+  // Names never unlinked were all listed.
+  for (const std::string& name : live) EXPECT_TRUE(listed.contains(name));
+  auto all = dfs_->Readdir("/churn");
+  ASSERT_TRUE(all.ok());
+  std::set<std::string> now;
+  for (const DirEntry& entry : *all) now.insert(entry.name);
+  EXPECT_EQ(now, live);
 }
 
 TEST_P(DfsTest, ReaddirOnFileRejected) {

@@ -2,8 +2,8 @@
 // round-robin interleave across targets, multi-QP fairness through one
 // DaosEngine::ProgressAll() tick, the validating DaosEngine::Create
 // factory (targets == 0 regression), and the engine's answers to
-// malformed or invalid requests (every target-routed opcode, serial and
-// threaded).
+// malformed or invalid requests (every target-routed opcode and the dkey
+// enumeration ops, serial and threaded).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -575,6 +575,93 @@ INSTANTIATE_TEST_SUITE_P(
                           DaosOpcode::kAggregate, DaosOpcode::kDkeyExport,
                           DaosOpcode::kDkeyImport),
         ::testing::Bool()),
+    [](const auto& info) {
+      return DaosOpcodeName(std::uint32_t(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_threaded" : "_serial");
+    });
+
+// ---------------------------------- malformed enumeration requests
+
+/// The barrier enumeration ops x {serial, threaded engine}: a request cut
+/// off after the oid, after the marker, after the limit or inside the
+/// akey, or with a length prefix past the frame's end, gets DATA_LOSS; an
+/// akey holding an array is INVALID_ARGUMENT; the QP keeps serving.
+class EngineMalformedEnumerationTest : public EngineMalformedRequestTest {
+ protected:
+  /// The request with its length-prefixed fields' end offsets.
+  struct Listing {
+    Buffer header;
+    std::size_t oid_end = 0;
+    std::size_t marker_end = 0;
+    std::size_t limit_end = 0;
+  };
+
+  Listing ValidListing(DaosOpcode op, const std::string& akey) {
+    Listing req;
+    rpc::Encoder enc;
+    enc.U64(cont_).U64(kOid.hi).U64(kOid.lo);
+    req.oid_end = enc.buffer().size();
+    enc.Str("");
+    req.marker_end = enc.buffer().size();
+    enc.U32(0);
+    req.limit_end = enc.buffer().size();
+    if (op == DaosOpcode::kListEntries) enc.Str(akey);
+    req.header = enc.Take();
+    return req;
+  }
+};
+
+TEST_P(EngineMalformedEnumerationTest, TruncatedOrInflatedGetsErrorQpStaysUp) {
+  const DaosOpcode op = std::get<0>(GetParam());
+  const bool entries = op == DaosOpcode::kListEntries;
+  const Listing req = ValidListing(op, "s");
+  std::vector<std::size_t> cuts = {req.oid_end, req.marker_end};
+  if (entries) {
+    cuts.push_back(req.limit_end);
+    cuts.push_back(req.header.size() - 1);  // inside the akey
+  }
+  auto call = [&](std::span<const std::byte> header) {
+    return client_->Call(std::uint32_t(op), header);
+  };
+  for (std::size_t cut : cuts) {
+    EXPECT_EQ(call(std::span(req.header).first(cut)).status().code(),
+              ErrorCode::kDataLoss)
+        << "cut at " << cut << " of " << req.header.size();
+  }
+  // A length prefix that claims more bytes than the frame holds: the
+  // marker's, and (kListEntries) the akey's.
+  std::vector<std::size_t> prefixes = {req.oid_end};
+  if (entries) prefixes.push_back(req.limit_end);
+  for (std::size_t at : prefixes) {
+    Buffer inflated = req.header;
+    inflated[at] = std::byte{0xFF};
+    inflated[at + 1] = std::byte{0xFF};
+    EXPECT_EQ(call(inflated).status().code(), ErrorCode::kDataLoss)
+        << "prefix at " << at;
+  }
+  if (entries) {
+    EXPECT_EQ(call(ValidListing(op, "arr").header).status().code(),
+              ErrorCode::kInvalidArgument);
+  }
+
+  auto reply = call(req.header);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  rpc::Decoder dec(reply->header);
+  ASSERT_EQ(dec.U32().value_or(0), 1u);
+  EXPECT_EQ(dec.Str().value_or(""), "d");
+  if (entries) {
+    EXPECT_EQ(dec.Bytes().value_or({}), payload_);
+  }
+  EXPECT_EQ(dec.U8().value_or(1), 0u);
+  EXPECT_TRUE(dec.Done());
+  EXPECT_TRUE(cluster_->engine(0)->scheduler().idle());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnumerationOps, EngineMalformedEnumerationTest,
+    ::testing::Combine(::testing::Values(DaosOpcode::kListDkeys,
+                                         DaosOpcode::kListEntries),
+                       ::testing::Bool()),
     [](const auto& info) {
       return DaosOpcodeName(std::uint32_t(std::get<0>(info.param))) +
              (std::get<1>(info.param) ? "_threaded" : "_serial");

@@ -202,23 +202,12 @@ TEST_P(MultiEngineTest, SnapshotReadsPinToPrimary) {
     op.epoch = epoch;
     return c.FetchBatch(std::span(&op, 1));
   };
-  auto single_batch = [&](Epoch epoch) -> Result<Buffer> {
-    DaosClient::SingleFetchOp op;
-    op.cont = *cont;
-    op.oid = *oid;
-    op.dkey = "dk";
-    op.akey = "s";
-    op.epoch = epoch;
-    ROS2_ASSIGN_OR_RETURN(auto values, c.FetchSingleBatch(std::span(&op, 1)));
-    return values.at(0);
-  };
 
   ASSERT_TRUE(c.Fetch(*cont, *oid, "dk", "a", 0, out, *e1).ok());
   EXPECT_EQ(out, v1);
   ASSERT_TRUE(fetch_batch(*e1).ok());
   EXPECT_EQ(out, v1);
   EXPECT_EQ(c.FetchSingle(*cont, *oid, "dk", "s", *es1).value_or({}), s1);
-  EXPECT_EQ(single_batch(*es1).value_or({}), s1);
   EXPECT_EQ(c.ArraySize(*cont, *oid, "dk", "a", *e1).value_or(0), 256u);
   ASSERT_TRUE(c.Fetch(*cont, *oid, "dk", "a", 0, out).ok());
   EXPECT_EQ(out, v2);
@@ -232,7 +221,6 @@ TEST_P(MultiEngineTest, SnapshotReadsPinToPrimary) {
   EXPECT_EQ(fetch_batch(*e1).code(), ErrorCode::kUnavailable);
   EXPECT_EQ(c.FetchSingle(*cont, *oid, "dk", "s", *es1).status().code(),
             ErrorCode::kUnavailable);
-  EXPECT_EQ(single_batch(*es1).status().code(), ErrorCode::kUnavailable);
   EXPECT_EQ(c.ArraySize(*cont, *oid, "dk", "a", *e1).status().code(),
             ErrorCode::kUnavailable);
 
@@ -243,7 +231,6 @@ TEST_P(MultiEngineTest, SnapshotReadsPinToPrimary) {
   ASSERT_TRUE(fetch_batch(kEpochHead).ok());
   EXPECT_EQ(out, v2);
   EXPECT_EQ(c.FetchSingle(*cont, *oid, "dk", "s").value_or({}), s2);
-  EXPECT_EQ(single_batch(kEpochHead).value_or({}), s2);
   EXPECT_EQ(c.ArraySize(*cont, *oid, "dk", "a").value_or(0), 256u);
 }
 
@@ -310,6 +297,137 @@ TEST_P(MultiEngineTest, ReplicatedListingIsCompleteWithAnEngineDown) {
     ASSERT_TRUE(dkeys.ok()) << dkeys.status().ToString();
     EXPECT_EQ(dkeys->size(), 48u) << "engine " << down << " down";
     ASSERT_TRUE((*client)->SetEngineDown(down, false).ok());
+  }
+}
+
+TEST_P(MultiEngineTest, ReplicatedReaddirMatchesStatWithThePrimaryDown) {
+  // Every entry a listing returns is the record a Stat of it reads, with
+  // an entry's primary DOWN (its replica answers) and after the primary
+  // comes back UP stale (it answers again, with what it holds).
+  auto client = Connect(/*replicas=*/2, "fabric://c10");
+  ASSERT_TRUE(client.ok());
+  auto cont = (*client)->ContainerCreate("posix");
+  ASSERT_TRUE(cont.ok());
+  auto dfs = dfs::Dfs::Mount(client->get(), *cont, /*create=*/true);
+  ASSERT_TRUE(dfs.ok()) << dfs.status().ToString();
+  dfs::DfsConfig uncached_config;
+  uncached_config.lookup_cache = false;
+  auto uncached = dfs::Dfs::Mount(client->get(), *cont, /*create=*/false,
+                                  uncached_config);
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  auto listing_matches_stat = [&](const std::string& dir,
+                                  std::size_t entries) {
+    auto listed = (*dfs)->Readdir(dir);
+    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+    EXPECT_EQ(listed->size(), entries) << dir;
+    for (const dfs::DirEntry& entry : *listed) {
+      auto stat = (*uncached)->Stat(dir + "/" + entry.name);
+      ASSERT_TRUE(stat.ok()) << entry.name << ": " << stat.status().ToString();
+      EXPECT_EQ(stat->type, entry.type) << dir << "/" << entry.name;
+    }
+  };
+  dfs::OpenFlags create;
+  create.create = true;
+  for (std::uint32_t down = 0; down < kEngines; ++down) {
+    const std::string dir = "/d" + std::to_string(down);
+    ASSERT_TRUE((*dfs)->Mkdir(dir).ok());
+    ASSERT_TRUE((*dfs)->Mkdir(dir + "/sub").ok());
+    for (int i = 0; i < 24; ++i) {
+      auto fd = (*dfs)->Open(dir + "/f" + std::to_string(i), create);
+      ASSERT_TRUE(fd.ok());
+      ASSERT_TRUE((*dfs)->Close(*fd).ok());
+    }
+    auto dir_stat = (*dfs)->Stat(dir);
+    ASSERT_TRUE(dir_stat.ok());
+    std::string victim;  // a file whose primary is the engine taken down
+    for (int i = 0; i < 24 && victim.empty(); ++i) {
+      const std::string name = "f" + std::to_string(i);
+      if (PlaceEngine(dir_stat->oid, name, kEngines) == down) victim = name;
+    }
+    ASSERT_FALSE(victim.empty());
+
+    ASSERT_TRUE((*client)->SetEngineDown(down, true).ok());
+    listing_matches_stat(dir, 25);
+    // Replace the file with the subdirectory while its primary is DOWN:
+    // the replica now holds a directory record, the primary a file one.
+    ASSERT_TRUE((*dfs)->Rename(dir + "/sub", dir + "/" + victim).ok());
+    listing_matches_stat(dir, 24);
+    ASSERT_TRUE((*client)->SetEngineDown(down, false).ok());
+    // Back UP without a resync: reads of the victim go to its stale
+    // primary again, for the listing and for Stat alike.
+    auto listed = (*dfs)->Readdir(dir);
+    ASSERT_TRUE(listed.ok());
+    listing_matches_stat(dir, listed->size());
+  }
+}
+
+TEST_P(MultiEngineTest, ListEntriesDropsNamesPunchedOnTheirReadEngine) {
+  // Names punched while their second replica was DOWN stay live on that
+  // stale replica. A listing keeps a name only with the value of the
+  // engine a HEAD read goes to, so it shows exactly the names FetchSingle
+  // finds; a limit-1 walk lists each once, moving past pages whose only
+  // name was dropped.
+  auto client = Connect(/*replicas=*/2, "fabric://c11");
+  ASSERT_TRUE(client.ok());
+  DaosClient& c = **client;
+  auto cont = c.ContainerCreate("c");
+  ASSERT_TRUE(cont.ok());
+  auto oid = c.AllocOid(*cont);
+  ASSERT_TRUE(oid.ok());
+  auto name_of = [](int i) {
+    return std::string(1, char('a' + i / 10)) + std::to_string(i % 10);
+  };
+  for (int i = 0; i < 30; ++i) {
+    const std::string name = name_of(i);
+    ASSERT_TRUE(c.UpdateSingle(*cont, *oid, name, "e",
+                               MakePatternBuffer(8 + i, std::uint64_t(i)))
+                    .ok());
+  }
+  // Engine 1 is the second replica of every name whose primary is 0.
+  ASSERT_TRUE(c.SetEngineDown(1, true).ok());
+  int punched = 0;
+  for (int i = 0; i < 30; ++i) {
+    if (PlaceEngine(*oid, name_of(i), kEngines) != 0 || i % 3 == 2) continue;
+    ASSERT_TRUE(c.PunchDkey(*cont, *oid, name_of(i)).ok());
+    ++punched;
+  }
+  ASSERT_GT(punched, 1);
+  ASSERT_TRUE(c.SetEngineDown(1, false).ok());
+
+  std::vector<std::pair<std::string, Buffer>> expected;
+  for (int i = 0; i < 30; ++i) {
+    auto value = c.FetchSingle(*cont, *oid, name_of(i), "e");
+    if (value.ok()) expected.emplace_back(name_of(i), std::move(*value));
+  }
+  ASSERT_EQ(expected.size(), std::size_t(30 - punched));
+
+  auto whole = c.ListEntriesPage(*cont, *oid, "e", "", 0);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_FALSE(whole->more);
+  ASSERT_EQ(whole->entries.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(whole->entries[i].dkey, expected[i].first);
+    EXPECT_EQ(whole->entries[i].value, expected[i].second) << i;
+  }
+
+  std::vector<std::string> walked;
+  std::string marker;
+  int empty_pages = 0;
+  for (int pages = 0;; ++pages) {
+    ASSERT_LE(pages, 30) << "the walk does not terminate";
+    auto page = c.ListEntriesPage(*cont, *oid, "e", marker, 1);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    ASSERT_LE(page->entries.size(), 1u);
+    if (page->entries.empty()) ++empty_pages;
+    for (const auto& entry : page->entries) walked.push_back(entry.dkey);
+    if (!page->more) break;
+    EXPECT_GT(page->next_marker, marker);
+    marker = page->next_marker;
+  }
+  EXPECT_GT(empty_pages, 0) << "no page had its only name dropped";
+  ASSERT_EQ(walked.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(walked[i], expected[i].first);
   }
 }
 

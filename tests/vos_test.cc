@@ -10,6 +10,7 @@
 
 #include "common/bytes.h"
 #include "common/units.h"
+#include "rpc/wire.h"
 
 namespace ros2::daos {
 namespace {
@@ -237,6 +238,89 @@ TEST_F(VosTest, ListKeys) {
   EXPECT_EQ(vos_->ListAkeys(oid_, "d1").size(), 2u);
   EXPECT_EQ(vos_->ListAkeys(oid_, "d2").size(), 1u);
   EXPECT_TRUE(vos_->ListDkeys(ObjectId{5, 5}).empty());
+}
+
+TEST_F(VosTest, EnumerateDkeysPagesLiveValuesInOrder) {
+  // d0..d5 hold single "e" (d2 punched, d4 rewritten); "x" has no "e" at
+  // all, "y" holds "e" as an array.
+  Epoch epoch = 1;
+  for (int i = 0; i < 6; ++i) {
+    const std::string dkey = "d" + std::to_string(i);
+    ASSERT_TRUE(vos_->UpdateSingle(oid_, dkey, "e", epoch++,
+                                   MakePatternBuffer(8, std::uint64_t(i)))
+                    .ok());
+  }
+  ASSERT_TRUE(vos_->PunchDkey(oid_, "d2", epoch++).ok());
+  Buffer newer = MakePatternBuffer(5, 40);
+  ASSERT_TRUE(vos_->UpdateSingle(oid_, "d4", "e", epoch++, newer).ok());
+  ASSERT_TRUE(vos_->UpdateSingle(oid_, "x", "other", epoch++, newer).ok());
+  const std::string akey = "e";
+
+  // Reads a run back as (dkey, value) pairs.
+  auto decode = [](const rpc::Encoder& run, bool values) {
+    std::vector<std::pair<std::string, Buffer>> out;
+    rpc::Decoder dec(run.buffer());
+    while (!dec.Done()) {
+      std::string dkey = dec.Str().value();
+      out.emplace_back(dkey, values ? dec.Bytes().value() : Buffer{});
+    }
+    return out;
+  };
+  rpc::Encoder all;
+  auto run = vos_->EnumerateDkeys(oid_, "", 0, &akey, all);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->count, 5u);
+  EXPECT_FALSE(run->more);
+  const auto listed = decode(all, true);
+  ASSERT_EQ(listed.size(), 5u);
+  const char* names[] = {"d0", "d1", "d3", "d4", "d5"};
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    EXPECT_EQ(listed[i].first, names[i]);
+  }
+  EXPECT_EQ(listed[0].second, MakePatternBuffer(8, 0));
+  EXPECT_EQ(listed[3].second, newer);
+
+  // A page counts only listed dkeys; `more` looks past skipped ones.
+  rpc::Encoder page;
+  run = vos_->EnumerateDkeys(oid_, "d0", 2, &akey, page);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->count, 2u);
+  EXPECT_TRUE(run->more);
+  EXPECT_EQ(decode(page, true).back().first, "d3");
+  rpc::Encoder tail;
+  run = vos_->EnumerateDkeys(oid_, "d4", 1, &akey, tail);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->count, 1u);
+  EXPECT_FALSE(run->more) << "only dkeys without a live \"e\" remain";
+
+  // Names only: every dkey, punched ones included.
+  rpc::Encoder names_only;
+  run = vos_->EnumerateDkeys(oid_, "", 0, nullptr, names_only);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(run->count, 7u);
+  EXPECT_EQ(decode(names_only, false).size(), 7u);
+
+  // An array under the akey is an error, not a skipped dkey — unless it
+  // lies past a full page.
+  Buffer arr(4);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "y", "e", epoch++, 0, arr).ok());
+  rpc::Encoder bad;
+  EXPECT_EQ(vos_->EnumerateDkeys(oid_, "d5", 0, &akey, bad).status().code(),
+            ErrorCode::kInvalidArgument);
+  rpc::Encoder before_bad;
+  run = vos_->EnumerateDkeys(oid_, "d4", 1, &akey, before_bad);
+  ASSERT_TRUE(run.ok());
+  EXPECT_TRUE(run->more);
+
+  // A failed checksum fails the run.
+  auto stored = vos_->ScmBytesForTest(oid_, "d1", "e");
+  ASSERT_TRUE(stored.ok());
+  (*stored)[3] ^= std::byte{0x5A};
+  rpc::Encoder corrupt;
+  EXPECT_EQ(vos_->EnumerateDkeys(oid_, "", 3, &akey, corrupt).status().code(),
+            ErrorCode::kDataLoss);
+  EXPECT_TRUE(vos_->EnumerateDkeys(ObjectId{5, 5}, "", 0, &akey, corrupt)
+                  .ok());
 }
 
 TEST_F(VosTest, AggregationCollapsesRecordLog) {

@@ -151,5 +151,42 @@ TEST(WireTest, BinaryStringsWithEmbeddedNuls) {
   EXPECT_EQ(dec.Str().value(), s);
 }
 
+TEST(WireTest, InPlaceBytesAndViewsMatchTheCopyingForms) {
+  Encoder in_place;
+  in_place.Str("k");
+  std::span<std::byte> slot = in_place.BytesInPlace(3);
+  ASSERT_EQ(slot.size(), 3u);
+  for (std::byte b : slot) EXPECT_EQ(b, std::byte{0});
+  slot[0] = std::byte{1};
+  slot[2] = std::byte{3};
+  const std::byte value[] = {std::byte{1}, std::byte{0}, std::byte{3}};
+  Encoder copied;
+  copied.Str("k").Bytes(value);
+  EXPECT_EQ(in_place.buffer(), copied.buffer());
+
+  Decoder dec(in_place.buffer());
+  EXPECT_EQ(dec.StrView().value(), "k");
+  auto view = dec.BytesView();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->data(), in_place.buffer().data() + 9);  // no copy
+  EXPECT_EQ(Buffer(view->begin(), view->end()), Buffer(value, value + 3));
+  EXPECT_TRUE(dec.Done());
+  // Views are bounds-checked like the copying forms.
+  const std::byte claims_more[] = {std::byte{9}, std::byte{0}, std::byte{0},
+                                   std::byte{0}, std::byte{'x'}};
+  Decoder short_str(claims_more);
+  EXPECT_EQ(short_str.StrView().status().code(), ErrorCode::kDataLoss);
+  Decoder short_bytes(claims_more);
+  EXPECT_EQ(short_bytes.BytesView().status().code(), ErrorCode::kDataLoss);
+}
+
+TEST(WireTest, InPlaceBytesLatchesLengthOverflow) {
+  Encoder enc;
+  enc.U8(1);
+  EXPECT_TRUE(enc.BytesInPlace(std::size_t(1) << 33).empty());
+  EXPECT_FALSE(enc.ok());
+  EXPECT_EQ(enc.buffer().size(), 1u);
+}
+
 }  // namespace
 }  // namespace ros2::rpc
