@@ -5,7 +5,7 @@
 //     read + close over a directory of small multi-chunk files. The
 //     pipelined mount batches each file's chunk fetches into one
 //     FetchBatch window and serves warm path walks from the lookup
-//     cache; the sequential mount (batch_io/lookup_cache off) pays one
+//     cache; the sequential mount (batch_io off, no lookup cache) pays one
 //     blocking round trip per chunk and per path component — the
 //     pre-PR-10 data path.
 //
@@ -118,7 +118,7 @@ struct DfsHarness {
     dfs::DfsConfig slow;
     slow.chunk_size = kChunk;
     slow.batch_io = false;
-    slow.lookup_cache = false;
+    slow.lookup_cache_entries = 0;
     slow.readahead_chunks = 1;
     slow.write_coalesce_chunks = 1;
     auto slow_mount = dfs::Dfs::Mount(client.get(), cont, /*create=*/false,

@@ -1,7 +1,8 @@
 // Wall-clock throughput of the THREADED engine: single-update calls per
 // real second as the target count (= xstream worker count) sweeps 1 -> 4,
-// with one closed-loop client thread per target and the engine's network
-// progress thread doing all reply serialization (no client pump).
+// with one closed-loop client thread per target, the engine's network
+// progress thread decoding every request (no client pump) and each
+// target's worker sending its own replies.
 //
 // What makes more targets honestly faster on a multi-core host: each
 // target is a real worker thread (daos::Xstream) executing its VOS ops,
@@ -148,14 +149,15 @@ constexpr std::uint32_t kTargetCounts[] = {1, 2, 4};
 
 ROS2_BENCH_EXPERIMENT(micro_mt,
                       "Threaded engine wall-clock throughput vs target "
-                      "(xstream worker) count, progress thread serving") {
+                      "(xstream worker) count, workers replying") {
   ctx.report().MarkRealtime();
   const unsigned cores = std::thread::hardware_concurrency();
   ctx.Note(
       "Single-update storm (64 B values) against a threaded engine: one "
       "closed-loop client thread per target, each client's dkey pinned "
-      "to its own target by the placement hash, all replies serialized "
-      "by the engine's network progress thread (clients have no pump). "
+      "to its own target by the placement hash, every request decoded by "
+      "the engine's network progress thread (clients have no pump) and "
+      "every reply sent by the worker that ran it. "
       "Rates are realtime counters — compare trajectories per machine, "
       "not across machines. The 4-target / 1-target RATIO is gated on "
       "hosts with >= 4 cores (this host: " +

@@ -100,7 +100,7 @@ ROS2_BENCH_EXPERIMENT(micro_rebuild,
 
   // All clients dial in while the pool is healthy (PoolConnect is
   // metadata — it refuses a degraded pool by design). Pumpless: the
-  // engines' progress threads serialize every reply.
+  // engines' progress threads decode every request.
   auto new_client = [&](const std::string& name)
       -> std::unique_ptr<daos::DaosClient> {
     daos::DaosClient::ConnectOptions options;

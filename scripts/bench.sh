@@ -25,6 +25,10 @@
 # EXPERIMENTS.md is the committed quick-mode baseline: quick runs rewrite
 # it by default, --full runs leave it alone unless --experiments-md.
 #
+# A bench whose checks fail does not stop the run: every bench still runs,
+# the merge and the diff still happen, and the script then exits 1 naming
+# each failed bench (and refuses --write-baseline).
+#
 # Artifacts land in <build>/bench-out/: one .json + .txt per bench binary
 # plus the merged BENCH_quick.json (or BENCH_full.json). Model numbers are
 # deterministic; bench_micro_transport sections are wall-clock and vary by
@@ -124,10 +128,20 @@ MODEL_BENCHES=(
 QUICK_FLAG=""
 [[ "$MODE" == quick ]] && QUICK_FLAG="--quick"
 
+# Benches whose checks failed; named again on any exit.
+FAILED=()
+report_failed() {
+  (( ${#FAILED[@]} == 0 )) || echo "failed benches: ${FAILED[*]}" >&2
+}
+trap report_failed EXIT
+
 for bench in "${MODEL_BENCHES[@]}"; do
   echo "== running $bench ($MODE) =="
-  "$BUILD_DIR/bench/$bench" $QUICK_FLAG \
-      --json="$OUT_DIR/$bench.json" > "$OUT_DIR/$bench.txt"
+  if ! "$BUILD_DIR/bench/$bench" $QUICK_FLAG \
+      --json="$OUT_DIR/$bench.json" > "$OUT_DIR/$bench.txt"; then
+    echo "!! $bench failed (see $OUT_DIR/$bench.txt)" >&2
+    FAILED+=("$bench")
+  fi
 done
 
 # bench_micro_transport measures real CPU time; quick mode just shortens
@@ -137,10 +151,14 @@ done
 MICRO_MIN_TIME="0.5"
 [[ "$MODE" == quick ]] && MICRO_MIN_TIME="0.02"
 echo "== running bench_micro_transport ($MODE, min_time=$MICRO_MIN_TIME) =="
-"$BUILD_DIR/bench/bench_micro_transport" \
+if ! "$BUILD_DIR/bench/bench_micro_transport" \
     "--benchmark_min_time=$MICRO_MIN_TIME" \
     "--benchmark_out=$OUT_DIR/bench_micro_transport.json" \
-    --benchmark_out_format=json > "$OUT_DIR/bench_micro_transport.txt"
+    --benchmark_out_format=json > "$OUT_DIR/bench_micro_transport.txt"; then
+  echo "!! bench_micro_transport failed" \
+       "(see $OUT_DIR/bench_micro_transport.txt)" >&2
+  FAILED+=(bench_micro_transport)
+fi
 
 # The one list of merge inputs: the aggregate and the committed baseline
 # must always be built from the same reports.
@@ -155,7 +173,13 @@ MERGE_ARGS=(merge "--out=$AGGREGATE")
 if [[ "$WRITE_EXPERIMENTS_MD" == 1 ]]; then
   MERGE_ARGS+=("--experiments-md=EXPERIMENTS.md")
 fi
-"$BUILD_DIR/src/bench/ros2_benchctl" "${MERGE_ARGS[@]}" "${MERGE_INPUTS[@]}"
+# merge writes the aggregate and then exits 1 if a merged report holds a
+# failed check; a bench that failed is already named, so only a failure
+# no bench explains is added to the list.
+if ! "$BUILD_DIR/src/bench/ros2_benchctl" "${MERGE_ARGS[@]}" \
+    "${MERGE_INPUTS[@]}"; then
+  (( ${#FAILED[@]} > 0 )) || FAILED+=("ros2_benchctl merge")
+fi
 echo "aggregate: $AGGREGATE"
 [[ "$WRITE_EXPERIMENTS_MD" == 1 ]] && echo "regenerated: EXPERIMENTS.md"
 
@@ -174,6 +198,12 @@ if [[ -n "$DIFF_BASELINE" ]]; then
   fi
   "$BUILD_DIR/src/bench/ros2_benchctl" diff \
       "--tolerance=$TOLERANCE" "$DIFF_BASELINE" "$AGGREGATE"
+fi
+
+if (( ${#FAILED[@]} > 0 )); then
+  [[ "$WRITE_BASELINE" == 1 ]] &&
+    echo "not refreshing bench/BENCH_baseline.json: a bench failed" >&2
+  exit 1
 fi
 
 if [[ "$WRITE_BASELINE" == 1 ]]; then

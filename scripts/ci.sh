@@ -164,11 +164,19 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # baseline via `scripts/bench.sh --write-baseline` in the same PR.
   # EXPERIMENTS.md is left untouched here — regenerating it is a deliberate
   # local act (scripts/bench.sh) whose diff rides the PR that changed perf.
+  # A failure here must not hide the smoke below, so both always run.
+  bench_status=0
   BUILD_DIR="$BUILD_DIR" scripts/bench.sh --quick --no-experiments-md \
-      --diff bench/BENCH_baseline.json "${BENCH_ARGS[@]}"
+      --diff bench/BENCH_baseline.json "${BENCH_ARGS[@]}" || bench_status=$?
   # Wall-clock benchmark smoke: every workload at 1/50 scale, traced and
   # untraced, read back through Ros2Client and checked byte for byte
   # (exit 3 on a mismatch). It builds its own Release tree under
   # .bench_build/.
-  bash benchmark/run.sh --smoke
+  smoke_status=0
+  bash benchmark/run.sh --smoke || smoke_status=$?
+  if (( bench_status != 0 || smoke_status != 0 )); then
+    echo "bench stage failed: scripts/bench.sh exit $bench_status," \
+         "benchmark/run.sh --smoke exit $smoke_status" >&2
+    exit 1
+  fi
 fi

@@ -116,11 +116,6 @@ DaosEngine::DaosEngine(net::Endpoint* endpoint, EngineConfig config,
   // Every QP this endpoint accepts reports into the engine's poll set, so
   // one ProgressAll tick services all connections without per-QP scans.
   endpoint_->set_accept_poll_set(&poll_set_);
-  if (scheduler_.threaded()) {
-    // Worker-finished replies must wake a progress thread blocked in
-    // DrainWait: ring the poll set's doorbell from the completion push.
-    scheduler_.set_completion_wakeup([this] { poll_set_.Ring(); });
-  }
 
   // Partition each device among the targets assigned to it.
   const std::uint32_t n = config_.targets;
@@ -170,9 +165,9 @@ Status DaosEngine::ProgressAll() {
   // Decode + dispatch everything that arrived (inline handlers reply
   // here; data ops park on their target's xstream), then complete the
   // deferred contexts: serial mode runs the queues dry (round-robin
-  // target order, same-dkey FIFO); threaded mode waits for the workers
-  // to finish what this tick dispatched and sends their replies, so the
-  // synchronous-pump contract (reply ready when ProgressAll returns)
+  // target order, same-dkey FIFO); threaded mode waits for the workers,
+  // which send their own replies, to finish what this tick dispatched, so
+  // the synchronous-pump contract (reply ready when ProgressAll returns)
   // holds in both modes.
   Status s = server_.Progress(&poll_set_);
   scheduler_.Quiesce();
@@ -181,12 +176,13 @@ Status DaosEngine::ProgressAll() {
 
 void DaosEngine::ProgressThreadMain() {
   while (!progress_stop_.load(std::memory_order_acquire)) {
-    // Block until a QP reports readiness or a worker completion rings the
-    // doorbell (bounded so a missed edge can't hang shutdown), then
-    // service both directions of the pipeline.
+    // Block until a QP reports readiness (bounded so a missed edge can't
+    // hang shutdown), then decode and dispatch what arrived. Threaded
+    // workers send their own replies, so nothing else wakes this loop.
     poll_set_.DrainWait(/*timeout_ms=*/10,
                         [&](net::Qp* qp) { (void)server_.Progress(qp); });
-    // Drain the run queue completely before blocking again: ops parked by
+    // Drain the serial run queue completely before blocking again (in
+    // threaded mode ProgressOnce returns 0 at once): ops parked by
     // the dispatch above do NOT ring the doorbell, and ProgressOnce runs
     // at most one op per target per pass — sleeping with a non-empty
     // queue would stall every pipelined multi-chunk batch by the full

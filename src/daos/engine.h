@@ -116,9 +116,9 @@ struct EngineConfig {
   std::uint64_t scm_per_target = 64ull * 1024 * 1024;
   bool checksums = true;
   /// True: each target is a real execution stream — a worker thread with a
-  /// bounded submit queue — and deferred ops execute on their target's
-  /// thread (replies still serialize on the progress path). False: the
-  /// deterministic single-threaded round-robin drain.
+  /// bounded submit queue — and deferred ops execute and send their
+  /// replies on their target's thread. False: the deterministic
+  /// single-threaded round-robin drain.
   bool xstream_workers = false;
   /// False: no metric tree, no per-op latency stamping, no scheduler
   /// clock reads — the engine answers kTelemetryQuery with an empty
@@ -154,10 +154,10 @@ class DaosEngine {
   Status ProgressAll();
 
   /// Starts the dedicated network progress thread: blocks in the poll
-  /// set's DrainWait (doorbell wakeups — QP sends and worker completions
-  /// both ring it), services ready QPs, and sends finished replies. With
-  /// this running, clients need no progress hook at all. No-op if already
-  /// running.
+  /// set's DrainWait (a QP send rings the doorbell), services ready QPs,
+  /// and runs serial-mode queues dry; threaded workers reply on their own.
+  /// With this running, clients need no progress hook at all. No-op if
+  /// already running.
   void StartProgressThread();
   /// Stops and joins the progress thread (no-op if not running). The
   /// destructor calls it.

@@ -35,32 +35,39 @@ void EngineScheduler::NoteQueued() {
   }
 }
 
+void EngineScheduler::Execute(std::uint32_t target, rpc::RpcContext& ctx,
+                              const OpFn& op) {
+  std::uint64_t t0 = 0;
+  if (time_ops_) {
+    t0 = telemetry::NowNs();
+    ctx.MarkExecStart(t0);
+  }
+  Result<Buffer> reply = op(ctx);
+  if (time_ops_) {
+    const std::uint64_t t1 = telemetry::NowNs();
+    ctx.MarkExecEnd(t1);
+    busy_ns_.Add(t1 - t0, target);
+  }
+  // A failed Complete (dead QP) is the transport's problem; the op ran.
+  (void)ctx.Complete(std::move(reply));
+  executed_.Add(1, target);
+  queued_total_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
 void EngineScheduler::Enqueue(std::uint32_t target, rpc::RpcContextPtr ctx,
                               OpFn op) {
   assert(target < num_targets_ && "target out of range");
+  NoteQueued();
   if (!threaded_) {
     queues_[target].push_back(QueuedOp{std::move(ctx), std::move(op)});
-    NoteQueued();
     return;
   }
   // Workers need a copyable task closure (std::function), so ownership of
   // the context goes shared at the submit boundary.
   auto shared = std::shared_ptr<rpc::RpcContext>(ctx.release());
-  NoteQueued();
   const bool accepted = xstreams_[target]->Submit(
-      [this, target, shared, op = std::move(op)]() mutable {
-        std::uint64_t t0 = 0;
-        if (time_ops_) {
-          t0 = telemetry::NowNs();
-          shared->MarkExecStart(t0);
-        }
-        Result<Buffer> reply = op(*shared);
-        if (time_ops_) {
-          const std::uint64_t t1 = telemetry::NowNs();
-          shared->MarkExecEnd(t1);
-          busy_ns_.Add(t1 - t0, target);
-        }
-        PushCompletion(target, std::move(shared), std::move(reply));
+      [this, target, shared, op = std::move(op)] {
+        Execute(target, *shared, op);
       });
   if (!accepted) {
     // Stream already stopping: answer instead of dropping the request.
@@ -69,36 +76,8 @@ void EngineScheduler::Enqueue(std::uint32_t target, rpc::RpcContextPtr ctx,
   }
 }
 
-void EngineScheduler::PushCompletion(std::uint32_t target,
-                                     std::shared_ptr<rpc::RpcContext> ctx,
-                                     Result<Buffer> reply) {
-  {
-    common::MutexLock lk(completions_mu_);
-    completions_.push_back(
-        Completion{std::move(ctx), std::move(reply), target});
-  }
-  if (completion_wakeup_) completion_wakeup_();
-}
-
-std::size_t EngineScheduler::DrainCompletions() {
-  std::size_t n = 0;
-  common::MutexLock lk(completions_mu_);
-  while (!completions_.empty()) {
-    Completion c = std::move(completions_.front());
-    completions_.pop_front();
-    lk.Unlock();
-    // A failed Complete (dead QP) is the transport's problem; the op ran.
-    (void)c.ctx->Complete(std::move(c.reply));
-    executed_.Add(1, c.target);
-    queued_total_.fetch_sub(1, std::memory_order_acq_rel);
-    ++n;
-    lk.Lock();
-  }
-  return n;
-}
-
 std::size_t EngineScheduler::ProgressOnce() {
-  if (threaded_) return DrainCompletions();
+  if (threaded_) return 0;
   const std::uint32_t n = num_targets_;
   std::size_t ran = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -107,21 +86,7 @@ std::size_t EngineScheduler::ProgressOnce() {
     if (queue.empty()) continue;
     QueuedOp item = std::move(queue.front());
     queue.pop_front();
-    queued_total_.fetch_sub(1, std::memory_order_acq_rel);
-    std::uint64_t t0 = 0;
-    if (time_ops_) {
-      t0 = telemetry::NowNs();
-      item.ctx->MarkExecStart(t0);
-    }
-    Result<Buffer> reply = item.op(*item.ctx);
-    if (time_ops_) {
-      const std::uint64_t t1 = telemetry::NowNs();
-      item.ctx->MarkExecEnd(t1);
-      busy_ns_.Add(t1 - t0, t);
-    }
-    // A failed Complete (dead QP) is the transport's problem; the op ran.
-    (void)item.ctx->Complete(std::move(reply));
-    executed_.Add(1, t);
+    Execute(t, *item.ctx, item.op);
     ++ran;
   }
   // Rotate the pass's start so target `cursor_` is not structurally first
@@ -131,30 +96,27 @@ std::size_t EngineScheduler::ProgressOnce() {
 }
 
 std::size_t EngineScheduler::ProgressAll() {
-  if (threaded_) return DrainCompletions();
   std::size_t total = 0;
-  while (!idle()) {
-    total += ProgressOnce();
-  }
+  while (std::size_t ran = ProgressOnce()) total += ran;
   return total;
 }
 
-std::size_t EngineScheduler::Quiesce() {
-  if (!threaded_) return ProgressAll();
-  // Every already-submitted op finishes executing (workers go idle), then
-  // every computed reply goes out. Workers only ever ADD completions, so
-  // once they are idle one drain empties the hand-off queue.
+void EngineScheduler::Quiesce() {
+  if (!threaded_) {
+    ProgressAll();
+    return;
+  }
+  // Workers send their own replies, so an idle worker has answered every
+  // op submitted to it.
   for (auto& xs : xstreams_) xs->Quiesce();
-  return DrainCompletions();
 }
 
 void EngineScheduler::Shutdown() {
   if (!threaded_) return;
   if (shut_down_.exchange(true)) return;
   // Stop() runs everything still queued before joining, so no accepted
-  // request is lost; the final drain sends their replies.
+  // request is lost and every one of them is answered.
   for (auto& xs : xstreams_) xs->Stop();
-  DrainCompletions();
 }
 
 std::size_t EngineScheduler::queued(std::uint32_t target) const {

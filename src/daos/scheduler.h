@@ -16,11 +16,11 @@
 //    with a bounded MPSC submit queue — the Argobots-xstream-per-target
 //    shape. Enqueue() hands the op to the target's worker; the op body
 //    (VOS access, bulk movement) runs on that thread, preserving per-dkey
-//    FIFO order because one thread drains one FIFO queue. The computed
-//    reply is NOT sent from the worker: it is pushed onto a completion
-//    queue and the next ProgressOnce()/ProgressAll() — the progress
-//    thread's tick — performs RpcContext::Complete there, so reply
-//    serialization stays on the network progress path (CaRT's rule).
+//    FIFO order because one thread drains one FIFO queue, and the worker
+//    sends the reply itself (upstream DAOS calls crt_reply_send from the
+//    ULT that ran the handler) — no hop back through the progress thread.
+//
+// Both modes run an op through one Execute step: stamp, run, reply, count.
 //
 // The engine's dispatch step decodes only a request's routing prefix
 // (cont, oid, dkey, akey) to pick the target; the op body that runs here
@@ -39,7 +39,6 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "daos/xstream.h"
 #include "rpc/data_rpc.h"
 #include "telemetry/metrics.h"
@@ -48,7 +47,7 @@ namespace ros2::daos {
 
 struct EngineSchedulerOptions {
   /// false: single-threaded round-robin drain (deterministic).
-  /// true: one worker thread per target + completion hand-off.
+  /// true: one worker thread per target; workers send their replies.
   bool threaded = false;
   /// Stamp execution start/end on each context and accumulate per-target
   /// busy time (two clock reads per op). The engine wires this to
@@ -75,33 +74,24 @@ class EngineScheduler {
 
   /// Serial: one round-robin pass — at most one queued op per target (the
   /// pass's start target rotates so draining is fair under load).
-  /// Threaded: sends every reply the workers have finished computing
-  /// (RpcContext::Complete on the calling thread).
+  /// Threaded: nothing to do (workers reply on their own); returns 0.
   /// Returns ops completed.
   std::size_t ProgressOnce();
 
   /// Serial: round-robin passes until every queue is empty. Threaded:
-  /// identical to ProgressOnce (non-blocking completion drain — workers
-  /// may still be executing). Returns ops completed.
+  /// returns 0 at once. Returns ops completed.
   std::size_t ProgressAll();
 
   /// BARRIER: every op enqueued before this call has executed AND its
   /// reply has been sent when it returns. Serial: ProgressAll. Threaded:
-  /// quiesces every worker, then drains the completion queue. Callers
-  /// must not Enqueue concurrently with a Quiesce they depend on.
-  std::size_t Quiesce();
+  /// waits for every worker to go idle. Callers must not Enqueue
+  /// concurrently with a Quiesce they depend on.
+  void Quiesce();
 
-  /// Threaded: stops every worker (queued ops still execute — a clean
-  /// shutdown loses no requests), then sends the remaining replies.
-  /// Serial: no-op. Idempotent; the destructor calls it.
+  /// Threaded: stops every worker (queued ops still execute and reply — a
+  /// clean shutdown loses no requests). Serial: no-op. Idempotent; the
+  /// destructor calls it.
   void Shutdown();
-
-  /// Invoked (from a worker thread) whenever a finished reply lands on
-  /// the completion queue — the engine points this at PollSet::Ring() so
-  /// a blocked progress thread wakes to send it. Set before any Enqueue.
-  void set_completion_wakeup(std::function<void()> fn) {
-    completion_wakeup_ = std::move(fn);
-  }
 
   bool threaded() const { return threaded_; }
   bool idle() const {
@@ -138,17 +128,11 @@ class EngineScheduler {
     rpc::RpcContextPtr ctx;
     OpFn op;
   };
-  struct Completion {
-    std::shared_ptr<rpc::RpcContext> ctx;
-    Result<Buffer> reply;
-    std::uint32_t target = 0;
-  };
 
   void NoteQueued();
-  void PushCompletion(std::uint32_t target,
-                      std::shared_ptr<rpc::RpcContext> ctx,
-                      Result<Buffer> reply) ROS2_EXCLUDES(completions_mu_);
-  std::size_t DrainCompletions() ROS2_EXCLUDES(completions_mu_);
+  /// Runs `op` on the calling thread, sends its reply and ticks the
+  /// counters — the one body both drive modes share.
+  void Execute(std::uint32_t target, rpc::RpcContext& ctx, const OpFn& op);
 
   const bool threaded_;
   const std::uint32_t num_targets_;
@@ -159,13 +143,8 @@ class EngineScheduler {
   std::vector<std::deque<QueuedOp>> queues_;
   std::uint32_t cursor_ = 0;  // rotating start target for fairness
 
-  // Threaded mode state. Workers push onto the completion queue under
-  // completions_mu_; the progress thread drains it (lock dropped around
-  // each Complete so workers keep finishing while replies send).
+  // Threaded mode state.
   std::vector<std::unique_ptr<Xstream>> xstreams_;
-  common::Mutex completions_mu_;
-  std::deque<Completion> completions_ ROS2_GUARDED_BY(completions_mu_);
-  std::function<void()> completion_wakeup_;  // set once, before workers run
   std::atomic<bool> shut_down_{false};
 
   std::atomic<std::size_t> queued_total_{0};

@@ -158,7 +158,7 @@ void Dfs::AttachTelemetry(telemetry::Telemetry* tree) {
 
 void Dfs::CacheInsert(const daos::ObjectId& dir, const std::string& name,
                       const DfsStat& stat) {
-  if (!config_.lookup_cache || config_.lookup_cache_entries == 0) return;
+  if (config_.lookup_cache_entries == 0) return;
   // Size is a live quantity (shared FileState / loaded on demand); the
   // cache pins only the immutable record {type, oid, mode}.
   DfsStat entry = stat;
@@ -181,7 +181,7 @@ void Dfs::CacheInsert(const daos::ObjectId& dir, const std::string& name,
 }
 
 void Dfs::CacheErase(const daos::ObjectId& dir, const std::string& name) {
-  if (!config_.lookup_cache) return;
+  if (config_.lookup_cache_entries == 0) return;
   const std::string key = CacheKey(dir, name);
   common::MutexLock lock(mu_);
   auto it = cache_index_.find(key);
@@ -212,7 +212,7 @@ Status Dfs::ResolveParent(const std::string& path, daos::ObjectId* parent,
 
 Result<DfsStat> Dfs::LookupEntry(const daos::ObjectId& dir,
                                  const std::string& name) {
-  if (config_.lookup_cache) {
+  if (config_.lookup_cache_entries != 0) {
     const std::string key = CacheKey(dir, name);
     common::MutexLock lock(mu_);
     auto it = cache_index_.find(key);

@@ -50,9 +50,8 @@ struct DfsConfig {
   /// sequential baseline bench_micro_dfs compares against).
   bool batch_io = true;
 
-  /// Path->entry LRU (bounded at lookup_cache_entries). Off = every walk
-  /// pays one RPC per component, like the pre-cache code.
-  bool lookup_cache = true;
+  /// Path->entry LRU bound. 0 = no cache: every walk pays one RPC per
+  /// component, like the pre-cache code.
   std::size_t lookup_cache_entries = 4096;
 
   /// Input-stream readahead: DfsInputStream refills a window of

@@ -124,10 +124,10 @@ Status RpcContext::Complete(Result<Buffer> reply) {
   server_->bulk_out_.Add(handler_ok ? bulk_.pushed_ : 0);
 
   if (op_stats_ != nullptr && decode_ns_ != 0) {
-    // Latency breakdown. Complete always runs on the progress path (inline
-    // handlers and completion drains both do), so single-shard recording
-    // is uncontended. Inline handlers never saw the scheduler: their queue
-    // wait is zero and the whole span counts as execution.
+    // Latency breakdown, recorded by whichever thread completes (the
+    // progress thread or a target worker; the stats are thread-safe).
+    // Inline handlers never saw the scheduler: their queue wait is zero
+    // and the whole span counts as execution.
     const std::uint64_t now = telemetry::NowNs();
     const std::uint64_t total = now > decode_ns_ ? now - decode_ns_ : 0;
     std::uint64_t queue = 0;

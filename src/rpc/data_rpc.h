@@ -51,8 +51,10 @@ class RpcServer;
 /// Per-opcode server-side telemetry: request/error counts plus the
 /// decode->dispatch->execute->reply latency breakdown. One instance per
 /// registered opcode, linked into the engine's telemetry tree under
-/// rpc/op/<name>/. All updates run on the progress path (Dispatch and
-/// Complete both do), so single-shard metrics suffice.
+/// rpc/op/<name>/. Complete records from whichever thread sends the reply
+/// (the progress thread, or a threaded engine's target workers); the
+/// counters are atomic and each histogram shard has its own mutex, so one
+/// shard stays correct under concurrent workers.
 struct RpcOpStats {
   telemetry::Counter requests{1};
   telemetry::Counter errors{1};
@@ -134,10 +136,8 @@ class RpcContext {
   }
 
   /// Timing stamps for the latency breakdown, set by the scheduler around
-  /// handler execution (monotonic ns from telemetry::NowNs). Written by
-  /// the executing thread before the completion hand-off, read at
-  /// Complete() on the progress path — the completion queue's mutex
-  /// orders the two.
+  /// handler execution (monotonic ns from telemetry::NowNs). The thread
+  /// that executes the op writes them and then reads them in Complete().
   void MarkExecStart(std::uint64_t ns) { exec_start_ns_ = ns; }
   void MarkExecEnd(std::uint64_t ns) { exec_end_ns_ = ns; }
 
@@ -212,8 +212,8 @@ class RpcServer {
   /// Completed requests (replies sent), including deferred ones. The
   /// counters are telemetry counters now — the same objects the telemetry
   /// tree links, so there is exactly one source of truth — and stay safe
-  /// to read while deferred contexts complete from worker-fed completion
-  /// drains and the progress thread keeps decoding.
+  /// to read while deferred contexts complete on worker threads and the
+  /// progress thread keeps decoding.
   std::uint64_t requests_served() const { return served_.value(); }
   /// Requests whose handler returned kDeferred.
   std::uint64_t requests_deferred() const { return deferred_.value(); }

@@ -92,7 +92,7 @@ TEST_F(DfsScaleTest, BatchRoundTripExceedsClientWindow) {
   // batched writer left exactly the state the sequential path expects.
   DfsConfig plain;
   plain.batch_io = false;
-  plain.lookup_cache = false;
+  plain.lookup_cache_entries = 0;
   plain.readahead = false;
   auto seq = NewMount(/*create=*/false, plain);
   ASSERT_NE(seq, nullptr);
@@ -282,11 +282,11 @@ TEST_F(DfsScaleTest, LookupCacheStaysBounded) {
 }
 
 TEST_F(DfsScaleTest, KillSwitchesDisableAcceleratorsNotSemantics) {
-  // batch_io=false + lookup_cache=false must behave identically, just
+  // batch_io=false + lookup_cache_entries=0 must behave identically, just
   // slower: zero batch counters, zero cache traffic.
   DfsConfig plain;
   plain.batch_io = false;
-  plain.lookup_cache = false;
+  plain.lookup_cache_entries = 0;
   plain.readahead = false;
   auto dfs = NewMount(/*create=*/true, plain);
   ASSERT_NE(dfs, nullptr);

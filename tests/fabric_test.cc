@@ -319,7 +319,7 @@ TEST_F(FabricTest, PollSetDoorbellRingsOncePerArmCycle) {
 
 TEST_F(FabricTest, ForeignThreadRingWakesBlockedDrainWait) {
   // The progress-thread wakeup path: a thread blocked in DrainWait must
-  // wake when ANOTHER thread rings the doorbell (worker completions use
+  // wake when ANOTHER thread rings the doorbell (StopProgressThread uses
   // exactly this edge), and a consumed ring must not re-fire.
   PollSet set;
   std::atomic<int> wakeups{0};

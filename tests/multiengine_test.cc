@@ -311,7 +311,7 @@ TEST_P(MultiEngineTest, ReplicatedReaddirMatchesStatWithThePrimaryDown) {
   auto dfs = dfs::Dfs::Mount(client->get(), *cont, /*create=*/true);
   ASSERT_TRUE(dfs.ok()) << dfs.status().ToString();
   dfs::DfsConfig uncached_config;
-  uncached_config.lookup_cache = false;
+  uncached_config.lookup_cache_entries = 0;
   auto uncached = dfs::Dfs::Mount(client->get(), *cont, /*create=*/false,
                                   uncached_config);
   ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
