@@ -1,5 +1,6 @@
 // VOS read cost proportional to the bytes returned, straight against one
-// target's Vos (no RPC), checksums on. Two gated sections:
+// target's Vos (no RPC), checksums on, and SCM cost proportional to the
+// SCM used. Three gated sections and one reported case:
 //
 // Chunked checksums: a 4 KiB aligned sub-read of a 1 MiB NVMe record
 // against a whole-record read of the same record. Under a single checksum
@@ -16,6 +17,18 @@
 // that replays the log loads and verifies all 32. The gate: median deep
 // read <= 1.5x the median shallow read.
 //
+// Pool boot: building a 256 MiB PmemPool against building a 64 MiB one
+// (an engine target's default). A pool whose arena is zero-filled up front
+// takes time (and resident memory) in proportion to its capacity; a lazily
+// backed one costs the same at both sizes. Both sizes come from their own
+// mmap, so the arms differ in capacity only (a pool under glibc's mmap
+// threshold would be carved out of the heap without a system call). The
+// gate: median 256 MiB build <= 2x the median 64 MiB build.
+//
+// Small SCM reads (reported, not gated): FetchSingle of an 8-byte value
+// among 64k live SCM records, the shape of a directory entry or inode
+// lookup, in microseconds per fetch.
+//
 // Both arms of each section alternate in one loop (bench::Pairs), so
 // ambient load lands on both alike, and the gates go through the bench
 // exit code. The whole report is realtime-tagged: wall-clock times churn
@@ -24,6 +37,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,6 +62,23 @@ constexpr std::uint64_t kDepthRead = 64 * kKiB;  // SCM tier (<= threshold)
 constexpr int kDepth = 32;
 constexpr double kDepthGate = 1.5;
 
+constexpr std::uint64_t kSmallPool = 64 * kMiB;
+constexpr std::uint64_t kLargePool = 256 * kMiB;
+constexpr double kBootGate = 2.0;
+
+constexpr int kSmallRecords = 64 * 1024;
+constexpr int kSmallFetchBatch = 256;
+
+/// Microseconds one PmemPool of `capacity` bytes takes to build (its
+/// destruction is not timed).
+double BuildPoolUs(std::uint64_t capacity) {
+  const auto start = std::chrono::steady_clock::now();
+  auto pool = std::make_unique<scm::PmemPool>(capacity);
+  const auto stop = std::chrono::steady_clock::now();
+  pool.reset();
+  return std::chrono::duration<double, std::micro>(stop - start).count();
+}
+
 /// Microseconds one FetchArray of `out.size()` bytes at `offset` of dkey
 /// `dkey` takes; clears `*ok` on a failed fetch or a byte mismatch against
 /// the pattern `tag`.
@@ -66,8 +97,9 @@ double FetchUs(const daos::Vos& vos, const std::string& dkey,
 }  // namespace
 
 ROS2_BENCH_EXPERIMENT(micro_vos,
-                      "VOS 4 KiB sub-read vs whole 1 MiB record read, and "
-                      "HEAD read vs record-log depth, checksums on — gated") {
+                      "VOS 4 KiB sub-read vs whole 1 MiB record read, HEAD "
+                      "read vs record-log depth, checksums on, and SCM pool "
+                      "build time vs capacity — gated") {
   ctx.report().MarkRealtime();
   ctx.Note(
       "One Vos target, 16 records of 1 MiB on the NVMe tier, checksums on. "
@@ -80,6 +112,11 @@ ROS2_BENCH_EXPERIMENT(micro_vos,
       "extent was rewritten 32 times. Each pair reads the whole extent of "
       "both at HEAD; the gate is median deep read <= 1.5x median shallow "
       "read.");
+  ctx.Note(
+      "Pool boot: each pair builds a 256 MiB and a 64 MiB PmemPool; the "
+      "gate is median 256 MiB build <= 2x median 64 MiB build. Small SCM "
+      "reads: FetchSingle of 8-byte values among 64k live SCM records, "
+      "reported per fetch without a gate.");
 
   storage::NvmeDeviceConfig dev_config;
   dev_config.capacity_bytes = 64 * kMiB;
@@ -181,6 +218,75 @@ ROS2_BENCH_EXPERIMENT(micro_vos,
   ctx.Metric("vos_deep_to_shallow_ratio", "ratio", depth_ratio, {},
              bench::MetricDirection::kLowerIsBetter);
 
+  const int boot_pairs = ctx.quick() ? 16 : 64;
+  bench::Pairs boot_us;  // a = 256 MiB pool, b = 64 MiB pool
+  for (int i = 0; i < warmup + boot_pairs; ++i) {
+    const double large_us = BuildPoolUs(kLargePool);
+    const double small_us = BuildPoolUs(kSmallPool);
+    if (i < warmup) continue;
+    boot_us.Add(large_us, small_us);
+  }
+  const double large_median = boot_us.MedianA();
+  const double small_median = boot_us.MedianB();
+  const double boot_ratio =
+      small_median > 0.0 ? large_median / small_median : 0.0;
+
+  AsciiTable boot_table({"PmemPool build", "median us"});
+  std::snprintf(buf, sizeof(buf), "%.1f", small_median);
+  boot_table.AddRow({FormatBytes(kSmallPool), buf});
+  std::snprintf(buf, sizeof(buf), "%.1f", large_median);
+  boot_table.AddRow({FormatBytes(kLargePool), buf});
+  ctx.Table("SCM pool build vs capacity (wall clock)", boot_table);
+
+  ctx.Metric("scm_pool_64mib_build_us", "us", small_median, {},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("scm_pool_256mib_build_us", "us", large_median, {},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("scm_pool_build_ratio", "ratio", boot_ratio, {},
+             bench::MetricDirection::kLowerIsBetter);
+
+  // Small SCM reads: one 8-byte single value per dkey of their own object.
+  const daos::ObjectId small_oid{2, 1};
+  std::vector<std::string> small_dkeys;
+  small_dkeys.reserve(kSmallRecords);
+  for (int r = 0; r < kSmallRecords; ++r) {
+    small_dkeys.push_back("e" + std::to_string(r));
+    const Buffer value = MakePatternBuffer(8, std::uint64_t(r));
+    if (!vos.UpdateSingle(small_oid, small_dkeys.back(), "v", 1, value)
+             .ok()) {
+      all_ok = false;
+    }
+  }
+  std::vector<double> small_us;
+  const int batches = ctx.quick() ? 64 : 512;
+  std::uint64_t next = 0;
+  for (int b = 0; b < warmup + batches; ++b) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int f = 0; f < kSmallFetchBatch; ++f) {
+      // A stride coprime to the record count visits them in scattered
+      // order, so the lookups are not cache-warm neighbours.
+      next = (next + 7919) % kSmallRecords;
+      Result<Buffer> value = vos.FetchSingle(small_oid, small_dkeys[next],
+                                             "v", daos::kEpochHead);
+      if (!value.ok() || VerifyPattern(*value, next, 0) != -1) {
+        all_ok = false;
+      }
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    if (b < warmup) continue;
+    small_us.push_back(
+        std::chrono::duration<double, std::micro>(stop - start).count() /
+        kSmallFetchBatch);
+  }
+  const double small_read_median = bench::Median(std::move(small_us));
+  AsciiTable small_table({"8-byte FetchSingle", "median us"});
+  std::snprintf(buf, sizeof(buf), "%.3f", small_read_median);
+  small_table.AddRow({std::to_string(kSmallRecords) + " live SCM records",
+                      buf});
+  ctx.Table("Small SCM reads (wall clock)", small_table);
+  ctx.Metric("vos_small_fetch_us", "us", small_read_median, {},
+             bench::MetricDirection::kLowerIsBetter);
+
   ctx.Check("every fetch succeeded byte-exact", all_ok);
   ctx.Check("median 4 KiB sub-read <= 1/8 of a whole 1 MiB record read",
             ratio > 0.0 && ratio <= kGate);
@@ -189,6 +295,8 @@ ROS2_BENCH_EXPERIMENT(micro_vos,
                 std::uint64_t(pairs) * daos::Vos::kCsumChunk);
   ctx.Check("median HEAD read of a 32-deep log <= 1.5x a 1-record log",
             depth_ratio > 0.0 && depth_ratio <= kDepthGate);
+  ctx.Check("median 256 MiB pool build <= 2x a 64 MiB pool build",
+            boot_ratio > 0.0 && boot_ratio <= kBootGate);
 }
 
 ROS2_BENCH_MAIN()

@@ -4,49 +4,23 @@ namespace ros2::daos {
 
 NvmeAllocator::NvmeAllocator(std::uint64_t base, std::uint64_t capacity,
                              std::uint32_t block_size)
-    : capacity_(capacity), block_size_(block_size) {
-  free_list_[base] = capacity_;
-}
+    : capacity_(capacity), block_size_(block_size), space_(base, capacity) {}
 
 Result<std::uint64_t> NvmeAllocator::Alloc(std::uint64_t size) {
   if (size == 0) return InvalidArgument("zero-size allocation");
   const std::uint64_t rounded =
       (size + block_size_ - 1) / block_size_ * block_size_;
-  for (auto it = free_list_.begin(); it != free_list_.end(); ++it) {
-    if (it->second >= rounded) {
-      const std::uint64_t offset = it->first;
-      const std::uint64_t remaining = it->second - rounded;
-      free_list_.erase(it);
-      if (remaining > 0) free_list_[offset + rounded] = remaining;
-      allocated_[offset] = rounded;
-      used_ += rounded;
-      return offset;
-    }
-  }
-  return ResourceExhausted("nvme space exhausted");
+  const std::optional<std::uint64_t> offset = space_.Take(rounded);
+  if (!offset) return ResourceExhausted("nvme space exhausted");
+  allocated_[*offset] = rounded;
+  return *offset;
 }
 
 Status NvmeAllocator::Free(std::uint64_t offset) {
   auto it = allocated_.find(offset);
   if (it == allocated_.end()) return NotFound("unknown allocation");
-  const std::uint64_t size = it->second;
+  space_.Give(offset, it->second);
   allocated_.erase(it);
-  used_ -= size;
-  auto inserted = free_list_.emplace(offset, size).first;
-  if (inserted != free_list_.begin()) {
-    auto prev = std::prev(inserted);
-    if (prev->first + prev->second == inserted->first) {
-      prev->second += inserted->second;
-      free_list_.erase(inserted);
-      inserted = prev;
-    }
-  }
-  auto next = std::next(inserted);
-  if (next != free_list_.end() &&
-      inserted->first + inserted->second == next->first) {
-    inserted->second += next->second;
-    free_list_.erase(next);
-  }
   return Status::Ok();
 }
 

@@ -1,13 +1,14 @@
 // Block-granular allocator over a bdev's LBA space.
 //
 // The VOS data path places large extents on NVMe; this allocator hands out
-// LBA-aligned regions with first-fit + coalescing-free semantics (a
+// LBA-aligned regions from a first-fit, coalescing free-extent list (a
 // simplified SPDK blobstore cluster allocator).
 #pragma once
 
 #include <cstdint>
 #include <map>
 
+#include "common/free_extents.h"
 #include "common/status.h"
 
 namespace ros2::daos {
@@ -25,15 +26,14 @@ class NvmeAllocator {
   /// Frees a previous allocation by offset.
   Status Free(std::uint64_t offset);
 
-  std::uint64_t used_bytes() const { return used_; }
+  std::uint64_t used_bytes() const { return space_.used_bytes(); }
   std::uint64_t capacity() const { return capacity_; }
 
  private:
   std::uint64_t capacity_;
   std::uint32_t block_size_;
-  std::uint64_t used_ = 0;
-  std::map<std::uint64_t, std::uint64_t> free_list_;   // offset -> size
-  std::map<std::uint64_t, std::uint64_t> allocated_;   // offset -> size
+  common::FreeExtents space_;
+  std::map<std::uint64_t, std::uint64_t> allocated_;  // offset -> size
 };
 
 }  // namespace ros2::daos

@@ -401,7 +401,9 @@ Result<ReaddirResult> Dfs::Readdir(const std::string& path,
   // One round trip per engine lists the page's names with their entry
   // records. An entry punched mid-listing is not listed; one whose record
   // cannot be read fails the listing (an unreadable entry must not make a
-  // directory look emptier than it is, or Unlink would orphan it).
+  // directory look emptier than it is, or Unlink would orphan it). The
+  // listed records do not go into the lookup cache: a walk of a large
+  // directory would evict the hot paths one entry at a time.
   ROS2_ASSIGN_OR_RETURN(
       daos::DaosClient::EntryPage listed,
       client_->ListEntriesPage(cont_, stat.oid, kEntryAkey, marker,
@@ -411,7 +413,6 @@ Result<ReaddirResult> Dfs::Readdir(const std::string& path,
   out.entries.reserve(listed.entries.size());
   for (const auto& [name, record] : listed.entries) {
     ROS2_ASSIGN_OR_RETURN(DfsStat entry, DecodeEntry(record));
-    CacheInsert(stat.oid, name, entry);
     out.entries.push_back({name, entry.type});
   }
   readdir_entries_.Add(out.entries.size());

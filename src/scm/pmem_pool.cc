@@ -1,148 +1,66 @@
 #include "scm/pmem_pool.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace ros2::scm {
 
 PmemPool::PmemPool(std::uint64_t capacity)
-    : capacity_(capacity), arena_(capacity) {
-  free_list_[0] = capacity;
-}
+    : capacity_(capacity),
+      arena_(std::make_unique_for_overwrite<std::byte[]>(capacity)),
+      space_(0, capacity) {}
 
 Result<PmemHandle> PmemPool::Alloc(std::uint64_t size) {
   if (size == 0) return InvalidArgument("zero-size allocation");
-  // First fit.
-  for (auto it = free_list_.begin(); it != free_list_.end(); ++it) {
-    if (it->second >= size) {
-      const std::uint64_t offset = it->first;
-      const std::uint64_t remaining = it->second - size;
-      free_list_.erase(it);
-      if (remaining > 0) free_list_[offset + size] = remaining;
-      const PmemHandle handle = next_handle_++;
-      allocations_[handle] = {offset, size};
-      used_ += size;
-      std::memset(arena_.data() + offset, 0, size);
-      return handle;
-    }
+  const std::optional<std::uint64_t> offset = space_.Take(size);
+  if (!offset) return ResourceExhausted("pmem pool exhausted");
+  std::uint32_t index;
+  if (free_slots_.empty()) {
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
   }
-  return ResourceExhausted("pmem pool exhausted");
+  Slot& slot = slots_[index];
+  slot.offset = *offset;
+  slot.size = size;
+  slot.live = true;
+  std::memset(arena_.get() + *offset, 0, size);
+  return PmemHandle(slot.generation) << 32 | (PmemHandle(index) + 1);
+}
+
+std::size_t PmemPool::Find(PmemHandle handle) const {
+  // The null handle's index wraps to 2^64 - 1, past any table.
+  const std::uint64_t index = (handle & 0xffffffffu) - 1;
+  if (index >= slots_.size()) return slots_.size();
+  const Slot& slot = slots_[index];
+  if (!slot.live || slot.generation != handle >> 32) return slots_.size();
+  return index;
 }
 
 Status PmemPool::Free(PmemHandle handle) {
-  auto it = allocations_.find(handle);
-  if (it == allocations_.end()) return NotFound("unknown pmem handle");
-  auto [offset, size] = it->second;
-  allocations_.erase(it);
-  used_ -= size;
-  // Insert into the free list and coalesce with neighbours.
-  auto inserted = free_list_.emplace(offset, size).first;
-  if (inserted != free_list_.begin()) {
-    auto prev = std::prev(inserted);
-    if (prev->first + prev->second == inserted->first) {
-      prev->second += inserted->second;
-      free_list_.erase(inserted);
-      inserted = prev;
-    }
-  }
-  auto next = std::next(inserted);
-  if (next != free_list_.end() &&
-      inserted->first + inserted->second == next->first) {
-    inserted->second += next->second;
-    free_list_.erase(next);
-  }
+  const std::size_t index = Find(handle);
+  if (index == slots_.size()) return NotFound("unknown pmem handle");
+  Slot& slot = slots_[index];
+  space_.Give(slot.offset, slot.size);
+  slot.live = false;
+  ++slot.generation;
+  free_slots_.push_back(static_cast<std::uint32_t>(index));
   return Status::Ok();
 }
 
 Result<std::span<std::byte>> PmemPool::Deref(PmemHandle handle) {
-  auto it = allocations_.find(handle);
-  if (it == allocations_.end()) return NotFound("unknown pmem handle");
-  return std::span<std::byte>(arena_.data() + it->second.first,
-                              it->second.second);
+  const std::size_t index = Find(handle);
+  if (index == slots_.size()) return NotFound("unknown pmem handle");
+  return std::span<std::byte>(arena_.get() + slots_[index].offset,
+                              slots_[index].size);
 }
 
 Result<std::span<const std::byte>> PmemPool::Deref(PmemHandle handle) const {
-  auto it = allocations_.find(handle);
-  if (it == allocations_.end()) return NotFound("unknown pmem handle");
-  return std::span<const std::byte>(arena_.data() + it->second.first,
-                                    it->second.second);
+  const std::size_t index = Find(handle);
+  if (index == slots_.size()) return NotFound("unknown pmem handle");
+  return std::span<const std::byte>(arena_.get() + slots_[index].offset,
+                                    slots_[index].size);
 }
-
-Status PmemPool::TxBegin() {
-  if (in_tx_) return FailedPrecondition("transaction already open");
-  in_tx_ = true;
-  return Status::Ok();
-}
-
-Status PmemPool::TxSnapshot(PmemHandle handle, std::uint64_t offset,
-                            std::uint64_t length) {
-  if (!in_tx_) return FailedPrecondition("no open transaction");
-  auto it = allocations_.find(handle);
-  if (it == allocations_.end()) return NotFound("unknown pmem handle");
-  if (offset > it->second.second || length > it->second.second - offset) {
-    return OutOfRange("snapshot range beyond allocation");
-  }
-  UndoRecord rec;
-  rec.handle = handle;
-  rec.offset = offset;
-  rec.old_bytes.resize(length);
-  // A zero-length snapshot has a null old_bytes.data(); memcpy's
-  // arguments are nonnull even for length 0.
-  if (length != 0) {
-    std::memcpy(rec.old_bytes.data(),
-                arena_.data() + it->second.first + offset, length);
-  }
-  undo_log_.push_back(std::move(rec));
-  return Status::Ok();
-}
-
-Result<PmemHandle> PmemPool::TxAlloc(std::uint64_t size) {
-  if (!in_tx_) return Status(FailedPrecondition("no open transaction"));
-  auto res = Alloc(size);
-  if (res.ok()) tx_allocs_.push_back(res.value());
-  return res;
-}
-
-Status PmemPool::TxFree(PmemHandle handle) {
-  if (!in_tx_) return FailedPrecondition("no open transaction");
-  if (!allocations_.contains(handle)) return NotFound("unknown pmem handle");
-  tx_frees_.push_back(handle);
-  return Status::Ok();
-}
-
-Status PmemPool::TxCommit() {
-  if (!in_tx_) return FailedPrecondition("no open transaction");
-  for (PmemHandle h : tx_frees_) {
-    ROS2_RETURN_IF_ERROR(Free(h));
-  }
-  undo_log_.clear();
-  tx_allocs_.clear();
-  tx_frees_.clear();
-  in_tx_ = false;
-  return Status::Ok();
-}
-
-void PmemPool::TxAbort() {
-  if (!in_tx_) return;
-  // Undo data modifications in reverse order.
-  for (auto it = undo_log_.rbegin(); it != undo_log_.rend(); ++it) {
-    auto alloc = allocations_.find(it->handle);
-    if (alloc != allocations_.end()) {
-      std::memcpy(arena_.data() + alloc->second.first + it->offset,
-                  it->old_bytes.data(), it->old_bytes.size());
-    }
-  }
-  // Allocations made inside the tx never happened.
-  for (PmemHandle h : tx_allocs_) {
-    (void)Free(h);
-  }
-  // Deferred frees are dropped (the allocations survive).
-  undo_log_.clear();
-  tx_allocs_.clear();
-  tx_frees_.clear();
-  in_tx_ = false;
-}
-
-void PmemPool::SimulateCrash() { TxAbort(); }
 
 }  // namespace ros2::scm

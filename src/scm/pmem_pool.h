@@ -2,17 +2,26 @@
 //
 // The DAOS engine keeps metadata and small records in SCM through PMDK;
 // this model provides the same contract: byte-addressable allocation from a
-// fixed pool, plus undo-log transactions so multi-word updates are
-// crash-atomic. "Persistence" is simulated — SimulateCrash() rolls back any
-// open transaction exactly as a power loss would under PMDK's undo log,
-// which is the property the DAOS metadata path depends on.
+// fixed pool. "Persistence" is simulated, and there is no undo log: no
+// caller updates SCM in place under a transaction.
+//
+// The arena is allocated without being initialised, the way PMDK maps a
+// pool without zeroing it, so a large pool costs address space but no
+// time or resident memory until Alloc zeroes a block on a page. A handle
+// names a slot in a table that records the block's offset and size:
+// `generation << 32 | (slot index + 1)`, so 0 is never a handle, and Deref
+// and Free are O(1) (index arithmetic, like DAOS's umem_off2ptr). Free
+// bumps the slot's generation before the slot is reused, so a stale handle
+// fails with NOT_FOUND instead of naming the slot's next block.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "common/free_extents.h"
 #include "common/status.h"
 
 namespace ros2::scm {
@@ -25,8 +34,8 @@ class PmemPool {
  public:
   explicit PmemPool(std::uint64_t capacity);
 
-  /// Allocates `size` bytes; returns a stable handle. First-fit over a
-  /// free list, like pmemobj's transactional allocator (simplified).
+  /// Allocates `size` zeroed bytes; returns a stable handle. First-fit
+  /// over a free-extent list, like pmemobj's allocator (simplified).
   Result<PmemHandle> Alloc(std::uint64_t size);
   Status Free(PmemHandle handle);
 
@@ -35,49 +44,26 @@ class PmemPool {
   Result<std::span<std::byte>> Deref(PmemHandle handle);
   Result<std::span<const std::byte>> Deref(PmemHandle handle) const;
 
-  // --- transactions (undo-log) -------------------------------------------
-  /// Opens a transaction; nesting is not supported (PMDK flattens).
-  Status TxBegin();
-  /// Snapshots [offset, offset+length) of `handle` so TxAbort (or a crash)
-  /// restores it. Must be called BEFORE modifying the range.
-  Status TxSnapshot(PmemHandle handle, std::uint64_t offset,
-                    std::uint64_t length);
-  /// Allocation inside a transaction: rolled back on abort.
-  Result<PmemHandle> TxAlloc(std::uint64_t size);
-  /// Free inside a transaction: deferred until commit.
-  Status TxFree(PmemHandle handle);
-  Status TxCommit();
-  void TxAbort();
-  bool InTx() const { return in_tx_; }
-
-  /// Power-loss simulation: any open transaction is rolled back via the
-  /// undo log; committed state is untouched.
-  void SimulateCrash();
-
   std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t used_bytes() const { return used_; }
-  std::uint64_t allocation_count() const { return allocations_.size(); }
+  std::uint64_t used_bytes() const { return space_.used_bytes(); }
 
  private:
-  struct UndoRecord {
-    PmemHandle handle;
-    std::uint64_t offset;
-    std::vector<std::byte> old_bytes;
+  struct Slot {
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+    std::uint32_t generation = 0;
+    bool live = false;
   };
 
-  std::uint64_t capacity_;
-  std::uint64_t used_ = 0;
-  std::vector<std::byte> arena_;
-  PmemHandle next_handle_ = 1;
-  // handle -> (arena offset, size)
-  std::map<PmemHandle, std::pair<std::uint64_t, std::uint64_t>> allocations_;
-  // arena offset -> size of free block (coalesced on free)
-  std::map<std::uint64_t, std::uint64_t> free_list_;
+  /// Index of the live slot `handle` names; slots_.size() for a null,
+  /// stale or foreign handle.
+  std::size_t Find(PmemHandle handle) const;
 
-  bool in_tx_ = false;
-  std::vector<UndoRecord> undo_log_;
-  std::vector<PmemHandle> tx_allocs_;
-  std::vector<PmemHandle> tx_frees_;
+  std::uint64_t capacity_;
+  std::unique_ptr<std::byte[]> arena_;  // uninitialised until Alloc
+  common::FreeExtents space_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;  // indexes of dead slots
 };
 
 }  // namespace ros2::scm
