@@ -1,14 +1,21 @@
 // VOS read cost proportional to the bytes returned, straight against one
 // target's Vos (no RPC), checksums on, and SCM cost proportional to the
-// SCM used. Three gated sections and one reported case:
+// SCM used. Four gated sections and one reported case:
 //
 // Chunked checksums: a 4 KiB aligned sub-read of a 1 MiB NVMe record
 // against a whole-record read of the same record. Under a single checksum
 // per record, a sub-read must load and check the whole record and both
-// arms cost the same; with one per Vos::kCsumChunk a sub-read moves and
-// verifies one chunk. The gates: the median sub-read takes <= 1/8 of the
-// median whole-record read, and each sub-read moves exactly one chunk off
-// the device.
+// arms cost the same; with one per Vos::kCsumChunk (4 KiB, one LBA) a
+// sub-read moves and verifies one 4 KiB chunk. The gates: the median
+// sub-read takes <= 1/8 of the median whole-record read, and each
+// sub-read moves exactly one 4 KiB chunk off the device.
+//
+// Batched chunk CRC: Crc32cChunks over 1 MiB in 4 KiB chunks (what a
+// whole-record write or read verifies) against one Crc32c over the same
+// MiB. Small chunks must not make whole-record checksums dearer than one
+// pass; a loop of per-chunk Crc32c calls, printed for reference, spends
+// a quarter of each chunk in a single-chain tail. The gate: median paired
+// ratio batched / one pass <= 1.05.
 //
 // Log depth: a 64 KiB HEAD read of an SCM akey whose extent was written
 // once, against the same read of an akey whose extent was rewritten 32
@@ -45,6 +52,7 @@
 #include "bench/paired.h"
 #include "bench/registry.h"
 #include "common/bytes.h"
+#include "common/crc.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "daos/vos.h"
@@ -57,6 +65,9 @@ constexpr std::uint64_t kRecord = kMiB;
 constexpr std::uint64_t kSubRead = 4 * kKiB;
 constexpr int kRecords = 16;
 constexpr double kGate = 1.0 / 8.0;
+
+constexpr std::uint64_t kCrcChunk = 4 * kKiB;
+constexpr double kCrcGate = 1.05;
 
 constexpr std::uint64_t kDepthRead = 64 * kKiB;  // SCM tier (<= threshold)
 constexpr int kDepth = 32;
@@ -79,6 +90,15 @@ double BuildPoolUs(std::uint64_t capacity) {
   return std::chrono::duration<double, std::micro>(stop - start).count();
 }
 
+/// Microseconds one call of `fn` takes.
+template <typename Fn>
+double TimeUs(Fn&& fn) {
+  const auto start = std::chrono::steady_clock::now();
+  fn();
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::micro>(stop - start).count();
+}
+
 /// Microseconds one FetchArray of `out.size()` bytes at `offset` of dkey
 /// `dkey` takes; clears `*ok` on a failed fetch or a byte mismatch against
 /// the pattern `tag`.
@@ -97,16 +117,22 @@ double FetchUs(const daos::Vos& vos, const std::string& dkey,
 }  // namespace
 
 ROS2_BENCH_EXPERIMENT(micro_vos,
-                      "VOS 4 KiB sub-read vs whole 1 MiB record read, HEAD "
-                      "read vs record-log depth, checksums on, and SCM pool "
-                      "build time vs capacity — gated") {
+                      "VOS 4 KiB sub-read vs whole 1 MiB record read, "
+                      "batched 4 KiB chunk CRC vs one pass, HEAD read vs "
+                      "record-log depth, checksums on, and SCM pool build "
+                      "time vs capacity — gated") {
   ctx.report().MarkRealtime();
   ctx.Note(
       "One Vos target, 16 records of 1 MiB on the NVMe tier, checksums on. "
       "Each pair reads a 4 KiB-aligned 4 KiB slice of a record, then the "
       "whole record. Times are realtime counters — the gates are the "
       "ratio of the arms' medians (<= 1/8) and the device bytes each "
-      "sub-read moves (exactly one checksum chunk).");
+      "sub-read moves (exactly one 4 KiB checksum chunk).");
+  ctx.Note(
+      "Batched CRC: each pair checksums one 1 MiB buffer as 256 4 KiB "
+      "chunks with Crc32cChunks and as one Crc32c pass; the gate is the "
+      "median paired ratio <= 1.05. A loop of 256 Crc32c calls is timed "
+      "beside them for reference.");
   ctx.Note(
       "Log depth: two 64 KiB SCM akeys, one written once and one whose "
       "extent was rewritten 32 times. Each pair reads the whole extent of "
@@ -187,6 +213,50 @@ ROS2_BENCH_EXPERIMENT(micro_vos,
   ctx.Metric("vos_sub_to_whole_ratio", "ratio", ratio, {},
              bench::MetricDirection::kLowerIsBetter);
   ctx.Metric("vos_sub_read_device_bytes", "bytes", bytes_per_sub, {},
+             bench::MetricDirection::kLowerIsBetter);
+
+  const Buffer crc_data = MakePatternBuffer(kRecord, 99);
+  std::vector<std::uint32_t> crcs(kRecord / kCrcChunk);
+  std::uint32_t one_crc = 0;
+  bench::Pairs crc_us;  // a = Crc32cChunks, b = one Crc32c pass
+  std::vector<double> loop_us;
+  const std::span<const std::byte> crc_span(crc_data);
+  for (int i = 0; i < warmup + pairs; ++i) {
+    const double batched =
+        TimeUs([&] { Crc32cChunks(crc_data, kCrcChunk, crcs); });
+    const double looped = TimeUs([&] {
+      for (std::uint64_t pos = 0; pos < kRecord; pos += kCrcChunk) {
+        crcs[pos / kCrcChunk] = Crc32c(crc_span.subspan(pos, kCrcChunk));
+      }
+    });
+    const double one_pass = TimeUs([&] { one_crc = Crc32c(crc_data); });
+    if (i < warmup) continue;
+    crc_us.Add(batched, one_pass);
+    loop_us.push_back(looped);
+  }
+  const double crc_ratio = crc_us.MedianRatio();
+  const double loop_median = bench::Median(std::move(loop_us));
+  // The loop arm ran last, so `crcs` holds per-chunk Crc32c values.
+  std::vector<std::uint32_t> batched(crcs.size());
+  Crc32cChunks(crc_data, kCrcChunk, batched);
+  if (batched != crcs || one_crc != Crc32cPortable(crc_data)) all_ok = false;
+
+  AsciiTable crc_table({"1 MiB CRC-32C", "median us"});
+  std::snprintf(buf, sizeof(buf), "%.1f", crc_us.MedianA());
+  crc_table.AddRow({"Crc32cChunks, 4 KiB chunks", buf});
+  std::snprintf(buf, sizeof(buf), "%.1f", loop_median);
+  crc_table.AddRow({"256 Crc32c calls, 4 KiB each", buf});
+  std::snprintf(buf, sizeof(buf), "%.1f", crc_us.MedianB());
+  crc_table.AddRow({"one Crc32c pass", buf});
+  ctx.Table("Batched chunk CRC vs one pass (wall clock)", crc_table);
+
+  ctx.Metric("crc_chunks_1mib_us", "us", crc_us.MedianA(), {},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("crc_chunk_loop_1mib_us", "us", loop_median, {},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("crc_one_pass_1mib_us", "us", crc_us.MedianB(), {},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("crc_chunks_to_one_pass_ratio", "ratio", crc_ratio, {},
              bench::MetricDirection::kLowerIsBetter);
 
   Buffer depth_out(kDepthRead);
@@ -287,12 +357,15 @@ ROS2_BENCH_EXPERIMENT(micro_vos,
   ctx.Metric("vos_small_fetch_us", "us", small_read_median, {},
              bench::MetricDirection::kLowerIsBetter);
 
-  ctx.Check("every fetch succeeded byte-exact", all_ok);
+  ctx.Check("every fetch and checksum byte-exact", all_ok);
   ctx.Check("median 4 KiB sub-read <= 1/8 of a whole 1 MiB record read",
             ratio > 0.0 && ratio <= kGate);
-  ctx.Check("each 4 KiB sub-read moves exactly one checksum chunk",
-            sub_device_bytes ==
-                std::uint64_t(pairs) * daos::Vos::kCsumChunk);
+  ctx.Check("each 4 KiB sub-read moves exactly one 4 KiB checksum chunk",
+            daos::Vos::kCsumChunk == kSubRead &&
+                sub_device_bytes == std::uint64_t(pairs) * kSubRead);
+  ctx.Check("median Crc32cChunks over 1 MiB in 4 KiB chunks <= 1.05x one "
+            "Crc32c pass",
+            crc_ratio > 0.0 && crc_ratio <= kCrcGate);
   ctx.Check("median HEAD read of a 32-deep log <= 1.5x a 1-record log",
             depth_ratio > 0.0 && depth_ratio <= kDepthGate);
   ctx.Check("median 256 MiB pool build <= 2x a 64 MiB pool build",

@@ -1,6 +1,8 @@
 #include "common/crc.h"
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstring>
 
 namespace ros2 {
@@ -170,6 +172,36 @@ __attribute__((target("sse4.2"))) std::uint32_t Crc32cHardware(
   return crc;
 }
 
+/// Crc32cChunks' SSE4.2 path: three chunks at a time, one crc32 chain per
+/// chunk. The chains are independent checksums, so unlike Crc32cHardware
+/// nothing is merged; a leftover chunk (fewer than three remain, or the
+/// short last one) runs through Crc32cHardware on its own.
+__attribute__((target("sse4.2"))) void Crc32cChunksHardware(
+    const std::byte* data, std::size_t size, std::size_t chunk,
+    std::uint32_t* out) {
+  const std::size_t words = chunk / 8 * 8;
+  for (; size >= 3 * chunk; size -= 3 * chunk, data += 3 * chunk, out += 3) {
+    const std::byte* b = data + chunk;
+    const std::byte* c = data + 2 * chunk;
+    std::uint64_t crc_a = 0xFFFFFFFFu;
+    std::uint64_t crc_b = 0xFFFFFFFFu;
+    std::uint64_t crc_c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < words; i += 8) {
+      crc_a = Crc32cWord(crc_a, data + i);
+      crc_b = Crc32cWord(crc_b, b + i);
+      crc_c = Crc32cWord(crc_c, c + i);
+    }
+    out[0] = ~Crc32cHardware(std::uint32_t(crc_a), data + words, chunk - words);
+    out[1] = ~Crc32cHardware(std::uint32_t(crc_b), b + words, chunk - words);
+    out[2] = ~Crc32cHardware(std::uint32_t(crc_c), c + words, chunk - words);
+  }
+  for (; size > 0; data += chunk, ++out) {
+    const std::size_t n = std::min(chunk, size);
+    *out = ~Crc32cHardware(0xFFFFFFFFu, data, n);
+    size -= n;
+  }
+}
+
 bool HaveSse42() {
   static const bool have = __builtin_cpu_supports("sse4.2");
   return have;
@@ -218,6 +250,21 @@ std::uint32_t Crc32c(const void* data, std::size_t size, std::uint32_t seed) {
 std::uint32_t Crc32cPortable(std::span<const std::byte> data,
                              std::uint32_t seed) {
   return ~Crc32cSoftware(~seed, data.data(), data.size());
+}
+
+void Crc32cChunks(std::span<const std::byte> data, std::size_t chunk,
+                  std::span<std::uint32_t> out) {
+  assert(chunk > 0 && out.size() == (data.size() + chunk - 1) / chunk);
+#if defined(ROS2_CRC32C_HW)
+  if (HaveSse42()) {
+    Crc32cChunksHardware(data.data(), data.size(), chunk, out.data());
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = Crc32cPortable(
+        data.subspan(i * chunk, std::min(chunk, data.size() - i * chunk)));
+  }
 }
 
 std::uint64_t Crc64(std::span<const std::byte> data, std::uint64_t seed) {

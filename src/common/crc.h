@@ -29,6 +29,17 @@ std::uint32_t Crc32c(const void* data, std::size_t size, std::uint32_t seed = 0)
 std::uint32_t Crc32cPortable(std::span<const std::byte> data,
                              std::uint32_t seed = 0);
 
+/// One CRC-32C (seed 0) per `chunk` bytes of `data`: out[i] is
+/// Crc32c(data.subspan(i * chunk, chunk)), the last chunk possibly short.
+/// `out` must hold exactly ceil(data.size() / chunk) entries. Per-chunk
+/// Crc32c calls on small chunks spend much of each chunk in Crc32c's
+/// single-chain tail; where CPUID reports SSE4.2 this runs three chunks
+/// at a time as three independent crc32 chains, one per chunk, so no
+/// chain waits on another and nothing needs merging (leftover and short
+/// chunks go through Crc32c). Elsewhere it loops over Crc32cPortable.
+void Crc32cChunks(std::span<const std::byte> data, std::size_t chunk,
+                  std::span<std::uint32_t> out);
+
 /// CRC-64/XZ over `data`.
 std::uint64_t Crc64(std::span<const std::byte> data, std::uint64_t seed = 0);
 std::uint64_t Crc64(const void* data, std::size_t size, std::uint64_t seed = 0);

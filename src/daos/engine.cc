@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <string>
 
 #include "common/logging.h"
 #include "daos/placement.h"
@@ -95,6 +96,16 @@ Result<std::unique_ptr<DaosEngine>> DaosEngine::Create(
   }
   if (devices.empty()) {
     return Status(InvalidArgument("engine needs at least one NVMe device"));
+  }
+  // VOS reads NVMe in whole checksum chunks; with an LBA that does not
+  // divide a chunk, every such read would be misaligned.
+  for (const storage::NvmeDevice* device : devices) {
+    if (Vos::kCsumChunk % device->config().lba_size != 0) {
+      return Status(FailedPrecondition(
+          "NVMe LBA size " + std::to_string(device->config().lba_size) +
+          " does not divide the " + std::to_string(Vos::kCsumChunk) +
+          "-byte VOS checksum chunk"));
+    }
   }
   ROS2_ASSIGN_OR_RETURN(net::Endpoint * endpoint,
                         fabric->CreateEndpoint(config.address));

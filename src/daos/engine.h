@@ -132,7 +132,9 @@ class DaosEngine {
   /// `devices` are the server's NVMe SSDs; targets partition them
   /// round-robin (target i -> device i % devices.size()). Rejects a
   /// zero-target config and an empty device span with INVALID_ARGUMENT,
-  /// and an address already on the fabric with ALREADY_EXISTS.
+  /// a device whose LBA size does not divide Vos::kCsumChunk with
+  /// FAILED_PRECONDITION, and an address already on the fabric with
+  /// ALREADY_EXISTS.
   static Result<std::unique_ptr<DaosEngine>> Create(
       net::Fabric* fabric, EngineConfig config,
       std::span<storage::NvmeDevice* const> devices);

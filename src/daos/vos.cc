@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <memory>
 #include <memory_resource>
 #include <vector>
 
@@ -21,6 +20,10 @@ struct Gap {
 
 /// Gaps a fetch keeps on the stack before its gap list moves to the heap.
 constexpr std::size_t kInlineGaps = 16;
+
+/// Checksum chunks Load verifies per Crc32cChunks call: a run of whole
+/// chunks is checked in batches of this many against a stack array.
+constexpr std::size_t kVerifyBatch = 64;
 
 }  // namespace
 
@@ -41,11 +44,8 @@ Result<Vos::ValueLoc> Vos::Store(std::span<const std::byte> data) {
   ValueLoc loc;
   loc.logical_len = data.size();
   if (config_.checksums) {
-    loc.csums.reserve((data.size() + kCsumChunk - 1) / kCsumChunk);
-    for (std::uint64_t pos = 0; pos < data.size(); pos += kCsumChunk) {
-      loc.csums.push_back(Crc32c(data.subspan(
-          pos, std::min<std::uint64_t>(kCsumChunk, data.size() - pos))));
-    }
+    loc.csums.resize((data.size() + kCsumChunk - 1) / kCsumChunk);
+    Crc32cChunks(data, kCsumChunk, loc.csums);
   }
   if (data.size() <= config_.scm_threshold) {
     Result<scm::PmemHandle> handle =
@@ -117,9 +117,22 @@ Status Vos::Load(const ValueLoc& loc, std::uint64_t offset,
   auto chunk_end = [&](std::uint64_t pos) {
     return std::min(pos + kCsumChunk, loc.logical_len);
   };
-  auto verify = [&](std::uint64_t pos, std::span<const std::byte> chunk) {
-    if (config_.checksums && Crc32c(chunk) != loc.csums[pos / kCsumChunk]) {
-      return DataLoss("extent checksum mismatch (end-to-end CRC-32C)");
+  // Verifies the chunks that start at `pos` and fill `chunks`, whole but
+  // for a short last chunk of the record, in batches of kVerifyBatch.
+  auto verify = [&](std::uint64_t pos, std::span<const std::byte> chunks) {
+    if (!config_.checksums) return Status::Ok();
+    std::array<std::uint32_t, kVerifyBatch> crcs;
+    const std::uint32_t* want = loc.csums.data() + pos / kCsumChunk;
+    while (!chunks.empty()) {
+      const std::span<const std::byte> batch = chunks.first(
+          std::min<std::size_t>(chunks.size(), kVerifyBatch * kCsumChunk));
+      const std::size_t n = (batch.size() + kCsumChunk - 1) / kCsumChunk;
+      Crc32cChunks(batch, kCsumChunk, std::span(crcs).first(n));
+      if (!std::equal(crcs.begin(), crcs.begin() + n, want)) {
+        return DataLoss("extent checksum mismatch (end-to-end CRC-32C)");
+      }
+      chunks = chunks.subspan(batch.size());
+      want += n;
     }
     return Status::Ok();
   };
@@ -140,10 +153,7 @@ Status Vos::Load(const ValueLoc& loc, std::uint64_t offset,
       } else {
         ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset + pos, dst));
       }
-      for (std::uint64_t c = pos; c < stop; c += kCsumChunk) {
-        ROS2_RETURN_IF_ERROR(
-            verify(c, dst.subspan(c - pos, chunk_end(c) - c)));
-      }
+      ROS2_RETURN_IF_ERROR(verify(pos, dst));
       pos = stop;
       continue;
     }
@@ -158,11 +168,8 @@ Status Vos::Load(const ValueLoc& loc, std::uint64_t offset,
     if (scm) {
       chunk = pmem.subspan(pos, e - pos);
     } else {
-      if (!cache.bounce) {
-        cache.bounce = std::make_unique_for_overwrite<std::byte[]>(kCsumChunk);
-      }
-      stored = {cache.bounce.get(),
-                std::min(pos + kCsumChunk, loc.length) - pos};
+      stored = std::span(cache.bounce)
+                   .first(std::min(pos + kCsumChunk, loc.length) - pos);
       chunk = stored.first(e - pos);
     }
     if (cache.loc != &loc || cache.pos != pos) {
@@ -471,6 +478,7 @@ Result<Vos::DkeyRun> Vos::EnumerateDkeys(const ObjectId& oid,
   auto obj = objects_.find(oid);
   if (obj == objects_.end()) return run;
   const Object& dkeys = obj->second;
+  ChunkCache cache;
   for (auto dk = marker.empty() ? dkeys.begin() : dkeys.upper_bound(marker);
        dk != dkeys.end(); ++dk) {
     Result<const SingleRecord*> value = nullptr;
@@ -490,7 +498,6 @@ Result<Vos::DkeyRun> Vos::EnumerateDkeys(const ObjectId& oid,
     out.Str(dk->first);
     if (akey != nullptr) {
       const ValueLoc& loc = (*value)->loc;
-      ChunkCache cache;
       ROS2_RETURN_IF_ERROR(
           Load(loc, 0, out.BytesInPlace(loc.logical_len), cache));
     }

@@ -8,12 +8,13 @@
 // Every update is stamped with an epoch; fetches read "as of" an epoch
 // (overlapping extents resolve newest-visible-wins: the record log is
 // walked newest first, as DAOS's EV-tree returns only visible extents).
-// Records carry end-to-end CRC-32C, one per kCsumChunk of the record
-// (DAOS's container `cksum_size`): computed at ingest, and on every fetch
-// verified for each chunk of the visible bytes the fetch returns, so a
-// corrupted tier surfaces as DATA_LOSS rather than silent bad bytes. A
-// fetch reads only the chunks that cover the bytes asked for, never the
-// whole record.
+// Records carry end-to-end CRC-32C, one per 4 KiB block of the record
+// (kCsumChunk, the NVMe LBA size, as NVMe protection information checks
+// each LBA): computed at ingest, and on every fetch verified for each
+// chunk of the visible bytes the fetch returns, so a corrupted tier
+// surfaces as DATA_LOSS rather than silent bad bytes. A fetch reads only
+// the chunks that cover the bytes asked for, never the whole record, so
+// an aligned 4 KiB read moves and checks 4 KiB.
 //
 // Tiering follows DAOS policy: records <= the SCM threshold (and all
 // single values) land in the PMEM pool; larger extents go to NVMe through
@@ -21,10 +22,10 @@
 // goes to NVMe as well instead of failing the update.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,9 +67,12 @@ struct VosStats {
 class Vos {
  public:
   /// Checksum granularity: one CRC-32C per this many bytes of a record,
-  /// counted from the record's start. A multiple of the 512 B and 4 KiB
-  /// LBA sizes, so a chunk-aligned NVMe read is LBA-aligned.
-  static constexpr std::uint64_t kCsumChunk = 32 * 1024;
+  /// counted from the record's start. It is 4 KiB, the usual NVMe LBA
+  /// size, so a small random read loads and verifies no more than the
+  /// blocks it touches; the index pays 4 B per 4 KiB (0.1 %). A
+  /// chunk-aligned NVMe read must be LBA-aligned, so DaosEngine::Create
+  /// rejects a device whose LBA size does not divide it.
+  static constexpr std::uint64_t kCsumChunk = 4 * 1024;
 
   /// `scm` and `nvme` are the target's storage tiers (borrowed).
   Vos(scm::PmemPool* scm, spdk::Bdev* nvme, VosConfig config = {});
@@ -209,10 +213,13 @@ class Vos {
   /// The last checksum chunk a Load read only part of. A record that
   /// fills several gaps of one fetch loads each piece separately; the
   /// cache lets the pieces inside one chunk share one read and one check.
+  /// A fetch keeps it on the stack, bounce buffer included, so it
+  /// allocates nothing.
   struct ChunkCache {
     const ValueLoc* loc = nullptr;  ///< nullptr: nothing cached
     std::uint64_t pos = 0;          ///< the chunk's offset in the record
-    std::unique_ptr<std::byte[]> bounce;  ///< its stored bytes (NVMe)
+    /// Its stored bytes (NVMe); left uninitialised until a chunk lands.
+    alignas(64) std::array<std::byte, kCsumChunk> bounce;
   };
 
   Result<ValueLoc> Store(std::span<const std::byte> data);

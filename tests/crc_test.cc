@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bytes.h"
 #include "support/test_support.h"
 
@@ -101,6 +104,42 @@ TEST(Crc32cTest, FastPathsMatchBitwiseReference) {
         EXPECT_EQ(Crc32cPortable(view, seed), expect)
             << "portable len=" << len << " offset=" << offset
             << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ChunksMatchPerChunkCrc) {
+  // Crc32cChunks runs three chunks at a time on SSE4.2 hosts, so chunk
+  // counts 0-7 reach its three-chain loop, its leftovers and both at once;
+  // a short last chunk, unaligned bases and a chunk size that is not a
+  // multiple of 8 reach its per-chain byte tail and its single-chunk path.
+  // The expected values come from per-chunk Crc32c and, pinned on every
+  // host, Crc32cPortable.
+  Buffer data = MakePatternBuffer(7 * 32 * 1024 + 8, /*tag=*/31);
+  for (std::size_t chunk : {std::size_t(512), std::size_t(4096),
+                            std::size_t(32 * 1024), std::size_t(1003)}) {
+    for (std::size_t chunks = 0; chunks <= 7; ++chunks) {
+      for (std::size_t short_by : {std::size_t(0), std::size_t(3), chunk - 1}) {
+        if (chunks == 0 && short_by != 0) continue;
+        const std::size_t size = chunks * chunk - short_by;
+        for (std::size_t offset : {0u, 1u, 5u}) {
+          std::span<const std::byte> view(data.data() + offset, size);
+          std::vector<std::uint32_t> got(chunks, 0xA5A5A5A5u);
+          Crc32cChunks(view, chunk, got);
+          for (std::size_t i = 0; i < chunks; ++i) {
+            const auto one = view.subspan(
+                i * chunk, std::min(chunk, size - i * chunk));
+            EXPECT_EQ(got[i], Crc32c(one))
+                << "chunk=" << chunk << " chunks=" << chunks
+                << " short_by=" << short_by << " offset=" << offset
+                << " i=" << i;
+            EXPECT_EQ(got[i], Crc32cPortable(one))
+                << "portable chunk=" << chunk << " chunks=" << chunks
+                << " short_by=" << short_by << " offset=" << offset
+                << " i=" << i;
+          }
+        }
       }
     }
   }

@@ -239,6 +239,32 @@ TEST_F(EnginePipelineTest, CreateRejectsEmptyDevicesAndDuplicateAddress) {
             ErrorCode::kAlreadyExists);
 }
 
+TEST_F(EnginePipelineTest, CreateRejectsLbaThatDoesNotDivideTheCsumChunk) {
+  // VOS reads NVMe in whole checksum chunks, so a device with a larger LBA
+  // is refused when the engine is built, not on its first fetch.
+  storage::NvmeDeviceConfig big_lba;
+  big_lba.lba_size = 2 * Vos::kCsumChunk;
+  big_lba.capacity_bytes = 64 * kMiB;
+  storage::NvmeDevice device(big_lba);
+  storage::NvmeDevice* raw[] = {cluster_->device(0), &device};
+  EngineConfig config;
+  config.address = "fabric://big-lba-engine";
+  EXPECT_EQ(DaosEngine::Create(fabric_, config, raw).status().code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_FALSE(fabric_->Lookup("fabric://big-lba-engine").ok());
+
+  // A 512-byte LBA divides the chunk, so that device boots.
+  storage::NvmeDeviceConfig small_lba;
+  small_lba.lba_size = 512;
+  small_lba.capacity_bytes = 64 * kMiB;
+  storage::NvmeDevice small(small_lba);
+  storage::NvmeDevice* ok_raw[] = {&small};
+  config.address = "fabric://small-lba-engine";
+  config.targets = 1;
+  auto engine = DaosEngine::Create(fabric_, config, ok_raw);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+}
+
 TEST_F(EnginePipelineTest, OneProgressTickServicesAllClientsFairly) {
   constexpr int kClients = 3;
   constexpr int kCallsPerClient = 4;

@@ -142,15 +142,26 @@ TEST_F(VosTest, ChecksumDetectsScmCorruption) {
 }
 
 TEST_F(VosTest, ChecksumDetectsNvmeCorruption) {
-  Buffer data = MakePatternBuffer(256 * 1024, 1);
+  // A whole-record read verifies its chunks in batches; a bad block in the
+  // first batch and one in the last each fail it. The record is the
+  // device's first extent, so device offsets equal record offsets.
+  Buffer data = MakePatternBuffer(kMiB, 1);
   ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
-  // Corrupt the device under the engine through a side-channel bdev.
+  // Corrupt the device under the engine through a side-channel bdev, then
+  // put the good bytes back.
   spdk::Bdev raw(device_.get());
-  Buffer evil = MakePatternBuffer(4096, 0xEE);
-  ASSERT_TRUE(raw.Write(0, evil).ok());
-  Buffer out(256 * 1024);
-  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).code(),
-            ErrorCode::kDataLoss);
+  Buffer out(kMiB);
+  for (const std::uint64_t bad : {std::uint64_t(0), kMiB - 4096}) {
+    ASSERT_TRUE(raw.Write(bad, MakePatternBuffer(4096, 0xEE)).ok());
+    EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).code(),
+              ErrorCode::kDataLoss)
+        << "bad block at " << bad;
+    ASSERT_TRUE(
+        raw.Write(bad, std::span<const std::byte>(data).subspan(bad, 4096))
+            .ok());
+    ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
+    EXPECT_EQ(out, data);
+  }
 }
 
 TEST_F(VosTest, SingleValueRoundTripAndVersioning) {
@@ -458,29 +469,42 @@ TEST_F(VosTest, FullScmPoolSpillsRecordsToNvme) {
   EXPECT_EQ(vos.stats().nvme_records, 0u);
 }
 
-// Chunk granularity: `data` is stored at array offset 0 and the checksum
-// chunk [bad_lo, bad_hi), bad_lo > 0, has been corrupted on its tier. A
-// read below the chunk is byte-exact; a read inside it or straddling into
-// it is DATA_LOSS.
+// Chunk granularity: `data` is stored at array offset 0 and the 4 KiB
+// checksum chunk [bad_lo, bad_hi), bad_lo > 0, has been corrupted on its
+// tier. Reads below it and of each neighbouring block are byte-exact;
+// every read that touches one of its bytes, inside it or straddling one
+// of its edges, is DATA_LOSS.
 void ExpectOnlyChunkLost(const Vos& vos, const ObjectId& oid,
                          const Buffer& data, std::uint64_t bad_lo,
                          std::uint64_t bad_hi) {
-  Buffer clean(std::min<std::uint64_t>(bad_lo, 3 * Vos::kCsumChunk + 100));
-  ASSERT_TRUE(vos.FetchArray(oid, "dk", "ak", kEpochHead, 0, clean).ok());
-  EXPECT_TRUE(std::equal(clean.begin(), clean.end(), data.begin()));
-  Buffer inside(std::min<std::uint64_t>(100, bad_hi - bad_lo - 1));
-  EXPECT_EQ(vos.FetchArray(oid, "dk", "ak", kEpochHead, bad_lo + 1, inside)
-                .code(),
-            ErrorCode::kDataLoss);
-  Buffer straddle(8 * kKiB);
-  EXPECT_EQ(vos.FetchArray(oid, "dk", "ak", kEpochHead, bad_lo - 4 * kKiB,
-                           straddle)
-                .code(),
-            ErrorCode::kDataLoss);
+  auto fetch = [&](std::uint64_t offset, std::uint64_t size) {
+    Buffer out(size);
+    const Status s = vos.FetchArray(oid, "dk", "ak", kEpochHead, offset, out);
+    if (s.ok()) {
+      EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                             data.begin() + std::ptrdiff_t(offset)))
+          << "offset " << offset << " size " << size;
+    }
+    return s.code();
+  };
+  EXPECT_EQ(
+      fetch(0, std::min<std::uint64_t>(bad_lo, 3 * Vos::kCsumChunk + 100)),
+      ErrorCode::kOk);
+  EXPECT_EQ(fetch(bad_lo - Vos::kCsumChunk, Vos::kCsumChunk), ErrorCode::kOk);
+  EXPECT_EQ(fetch(bad_lo, bad_hi - bad_lo), ErrorCode::kDataLoss);
+  EXPECT_EQ(
+      fetch(bad_lo + 1, std::min<std::uint64_t>(100, bad_hi - bad_lo - 1)),
+      ErrorCode::kDataLoss);
+  EXPECT_EQ(fetch(bad_lo - 1, 2), ErrorCode::kDataLoss);
+  EXPECT_EQ(fetch(bad_lo - 4 * kKiB, 8 * kKiB), ErrorCode::kDataLoss);
+  if (bad_hi + Vos::kCsumChunk <= data.size()) {
+    EXPECT_EQ(fetch(bad_hi, Vos::kCsumChunk), ErrorCode::kOk);
+    EXPECT_EQ(fetch(bad_hi - 1, 2), ErrorCode::kDataLoss);
+  }
 }
 
 TEST_F(VosTest, ScmCorruptionIsConfinedToItsChunk) {
-  Buffer data = MakePatternBuffer(2 * Vos::kCsumChunk, 4);  // SCM, 2 chunks
+  Buffer data = MakePatternBuffer(3 * Vos::kCsumChunk, 4);  // SCM, 3 chunks
   ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
   ASSERT_EQ(vos_->stats().scm_records, 1u);
   auto span = scm_->Deref(1);
@@ -501,30 +525,25 @@ TEST_F(VosTest, NvmeCorruptionIsConfinedToItsChunk) {
   ExpectOnlyChunkLost(*vos_, oid_, data, kMiB, data.size());
   // A middle chunk too, seen from both of its neighbours.
   const std::uint64_t mid = 10 * Vos::kCsumChunk;
-  ASSERT_TRUE(raw.Write(mid + 8 * kKiB, MakePatternBuffer(4096, 0xEF)).ok());
+  ASSERT_TRUE(raw.Write(mid, MakePatternBuffer(4096, 0xEF)).ok());
   ExpectOnlyChunkLost(*vos_, oid_, data, mid, mid + Vos::kCsumChunk);
-  Buffer after(4 * kKiB);
-  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead,
-                               mid + Vos::kCsumChunk, after)
-                  .ok());
-  EXPECT_TRUE(std::equal(after.begin(), after.end(),
-                         data.begin() + std::ptrdiff_t(mid + Vos::kCsumChunk)));
 }
 
 TEST_F(VosTest, SnapshotReadAcrossChunkStraddlingRecords) {
-  // Epoch 1: an NVMe record over [0, 96 KiB). Epoch 2: an SCM record over
-  // [10 KiB, 50 KiB), across the first record's chunk boundary at 32 KiB
-  // and with a boundary of its own at 42 KiB. Epoch 3: an NVMe record over
-  // [60 KiB, 140 KiB).
+  // Epoch 1: an NVMe record over [0, 96 KiB), chunks every 4 KiB. Epoch 2:
+  // an SCM record over [10 KiB, 50 KiB), which starts and ends inside
+  // chunks of the first and whose own chunk boundaries (14 KiB, 18 KiB,
+  // ...) fall mid-chunk of it. Epoch 3: an NVMe record over
+  // [62 KiB, 142 KiB), again off the first record's 4 KiB grid.
   struct Write {
     Epoch epoch;
     std::uint64_t offset;
     std::uint64_t size;
   };
   const Write writes[] = {
-      {1, 0, 96 * kKiB}, {2, 10 * kKiB, 40 * kKiB}, {3, 60 * kKiB, 80 * kKiB}};
+      {1, 0, 96 * kKiB}, {2, 10 * kKiB, 40 * kKiB}, {3, 62 * kKiB, 80 * kKiB}};
   std::vector<Buffer> model;  // expected array contents as of each epoch
-  Buffer state(140 * kKiB);
+  Buffer state(142 * kKiB);
   for (const Write& w : writes) {
     Buffer data = MakePatternBuffer(w.size, w.epoch);
     ASSERT_TRUE(
@@ -551,7 +570,7 @@ TEST_F(VosTest, AlignedSubReadMovesOneChunkOffTheDevice) {
   const std::uint64_t before = device_->bytes_read();
   ASSERT_TRUE(
       vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 300 * kKiB, out).ok());
-  EXPECT_EQ(device_->bytes_read() - before, Vos::kCsumChunk);
+  EXPECT_EQ(device_->bytes_read() - before, 4096u);
   EXPECT_TRUE(std::equal(out.begin(), out.end(),
                          data.begin() + std::ptrdiff_t(300 * kKiB)));
   Buffer whole(kMiB);
@@ -559,6 +578,20 @@ TEST_F(VosTest, AlignedSubReadMovesOneChunkOffTheDevice) {
   ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, whole).ok());
   EXPECT_EQ(device_->bytes_read() - mid, kMiB);
   EXPECT_EQ(whole, data);
+}
+
+TEST_F(VosTest, UnalignedSubReadStraddlingOneLbaMovesTwoBlocks) {
+  // 4 KiB starting 1000 bytes into a block: the tail of one 4 KiB block
+  // and the head of the next, each loaded and verified whole.
+  Buffer data = MakePatternBuffer(kMiB, 6);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  const std::uint64_t at = 300 * kKiB + 1000;
+  Buffer out(4 * kKiB);
+  const std::uint64_t before = device_->bytes_read();
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, at, out).ok());
+  EXPECT_EQ(device_->bytes_read() - before, 8192u);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                         data.begin() + std::ptrdiff_t(at)));
 }
 
 TEST_F(VosTest, HiddenRecordCorruptionOnlySurfacesAtItsEpoch) {
@@ -580,22 +613,22 @@ TEST_F(VosTest, HiddenRecordCorruptionOnlySurfacesAtItsEpoch) {
 }
 
 TEST_F(VosTest, PartlyHiddenChunkIsVerifiedOnlyWhenItsVisiblePartIsRead) {
-  // Epoch 1: a two-chunk SCM record over [0, 64 KiB). Epoch 2 hides the
-  // first 16 KiB of its first chunk; the corrupted byte lies in that
+  // Epoch 1: a two-chunk SCM record over [0, 8 KiB). Epoch 2 hides the
+  // first 1 KiB of its first chunk; the corrupted byte lies in that
   // hidden part, but the chunk's checksum covers its visible rest too.
   Buffer old_data = MakePatternBuffer(2 * Vos::kCsumChunk, 1);
-  Buffer new_data = MakePatternBuffer(16 * kKiB, 2);
+  Buffer new_data = MakePatternBuffer(Vos::kCsumChunk / 4, 2);
   ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, old_data).ok());
   ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 2, 0, new_data).ok());
   auto span = scm_->Deref(1);
   ASSERT_TRUE(span.ok());
   (*span)[100] ^= std::byte(0xFF);
-  Buffer visible(8 * kKiB);
-  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 20 * kKiB,
-                             visible)
+  Buffer visible(Vos::kCsumChunk / 4);
+  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead,
+                             Vos::kCsumChunk / 2, visible)
                 .code(),
             ErrorCode::kDataLoss);
-  Buffer hidden(16 * kKiB);
+  Buffer hidden(Vos::kCsumChunk / 4);
   ASSERT_TRUE(
       vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, hidden).ok());
   EXPECT_EQ(hidden, new_data);
@@ -642,15 +675,16 @@ TEST_F(VosTest, ScatteredNewerRecordsOverOneOlderRecord) {
 }
 
 TEST_F(VosTest, ScatteredSmallOverwritesReadEachOlderChunkOnce) {
-  // A 1 MiB NVMe record with a 4 KiB SCM overwrite in every second 4 KiB:
-  // the old record fills 128 separate gaps, four inside each of its
+  // A 1 MiB NVMe record with a 512 B SCM overwrite in every second 512 B:
+  // the old record fills 1024 separate gaps, four inside each of its
   // checksum chunks. The pieces of one chunk share one read and one check,
   // so the whole-window fetch moves the record's 1 MiB off the device
   // once, as a single-record read would.
+  constexpr std::uint64_t kPiece = Vos::kCsumChunk / 8;
   Buffer model = MakePatternBuffer(kMiB, 1);
   ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, model).ok());
-  for (std::uint64_t at = 4 * kKiB; at < kMiB; at += 8 * kKiB) {
-    Buffer data = MakePatternBuffer(4 * kKiB, 2, at);
+  for (std::uint64_t at = kPiece; at < kMiB; at += 2 * kPiece) {
+    Buffer data = MakePatternBuffer(kPiece, 2, at);
     ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 2, at, data).ok());
     std::copy(data.begin(), data.end(), model.begin() + std::ptrdiff_t(at));
   }
