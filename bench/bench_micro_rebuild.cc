@@ -197,8 +197,8 @@ ROS2_BENCH_EXPERIMENT(micro_rebuild,
                                         seeded, read_ops, &degraded_failed);
 
   // Background rebuild, concurrent with the writer.
-  daos::RebuildManager::Options ropts;
-  ropts.address = "fabric://rebuild-bench-mgr";
+  daos::DaosClient::ConnectOptions ropts;
+  ropts.client_address = "fabric://rebuild-bench-mgr";
   ropts.replicas = kReplicas;
   auto mgr = (*cluster)->NewRebuildManager(ropts);
   ctx.Check("rebuild manager connected", mgr.ok());

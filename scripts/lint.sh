@@ -25,6 +25,10 @@
 #   include-guard    A header without `#pragma once`.
 #   banned-function  strcpy/strcat/sprintf/gets/tmpnam — unbounded or
 #                    unsafe C library calls with bounded replacements.
+#   rpc-client       Constructing an `rpc::RpcClient` outside
+#                    src/daos/client.cc (the one DAOS engine-client stack)
+#                    and src/spdk/nvmf.cc (the NVMe-oF initiator). Every
+#                    other engine call goes through DaosClient.
 #
 # When clang-tidy AND a compile_commands.json exist, the committed
 # .clang-tidy profile also runs over the scanned sources (advisory depth
@@ -134,6 +138,19 @@ for f in "${SOURCES[@]}"; do
         "banned C library call (unbounded/unsafe; use the bounded form)"
   done < <(grep -nE '\b(strcpy|strcat|sprintf|gets|tmpnam)\s*\(' "$f" \
       || true)
+done
+
+# ----------------------------------------------------------- rpc-client
+RPC_CLIENT_ALLOW='src/daos/client\.cc|src/spdk/nvmf\.cc'
+for f in "${SOURCES[@]}"; do
+  [[ "$f" =~ ^($RPC_CLIENT_ALLOW)$ ]] && continue
+  while IFS=: read -r line _; do
+    [[ -n "$line" ]] || continue
+    fail rpc-client "$f:$line" \
+        "rpc::RpcClient constructed outside the DAOS client; use DaosClient"
+  done < <(grep -nE \
+      '(make_unique|make_shared)<(rpc::)?RpcClient>|new (rpc::)?RpcClient\b|\bRpcClient [A-Za-z_][A-Za-z0-9_]*[({]' \
+      "$f" || true)
 done
 
 # ----------------------------------------------------------- clang-tidy

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <set>
 
 #include "daos/placement.h"
 #include "rpc/wire.h"
@@ -89,14 +88,15 @@ Result<std::unique_ptr<DaosClient>> DaosClient::Connect(
   }
 
   // Authenticate against every engine's pool service before handing the
-  // client out; target counts must agree (one homogeneous pool).
+  // client out, DOWN ones included (the map only routes around them);
+  // target counts must agree (one homogeneous pool).
   for (std::uint32_t e = 0; e < client->engines_.size(); ++e) {
     rpc::Encoder enc;
     enc.Str(options.pool_label).Str(options.access_token);
     ROS2_ASSIGN_OR_RETURN(
         rpc::RpcReply reply,
-        client->Call(e, std::uint32_t(DaosOpcode::kPoolConnect),
-                     enc));
+        client->engines_[e].rpc->Call(
+            std::uint32_t(DaosOpcode::kPoolConnect), enc));
     rpc::Decoder dec(reply.header);
     ROS2_RETURN_IF_ERROR(dec.U64().status());  // pool id
     ROS2_ASSIGN_OR_RETURN(std::uint32_t targets, dec.U32());
@@ -186,6 +186,49 @@ Result<telemetry::TelemetrySnapshot> DaosClient::TelemetryQuery(
       Call(engine_index, std::uint32_t(DaosOpcode::kTelemetryQuery), enc));
   rpc::Decoder dec(reply.header);
   return telemetry::TelemetrySnapshot::DecodeFrom(dec);
+}
+
+// ------------------------------------------------- rebuild data movers
+
+Result<std::vector<ResyncEntry>> DaosClient::ScanEngine(
+    std::uint32_t engine) {
+  rpc::Encoder enc;  // kObjScan takes no header fields
+  ROS2_ASSIGN_OR_RETURN(
+      rpc::RpcReply reply,
+      Call(engine, std::uint32_t(DaosOpcode::kObjScan), enc));
+  rpc::Decoder dec(reply.header);
+  ROS2_ASSIGN_OR_RETURN(std::uint32_t count, dec.U32());
+  ROS2_ASSIGN_OR_RETURN(Buffer raw, dec.Bytes());
+  rpc::Decoder edec(raw);
+  std::vector<ResyncEntry> entries;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    ResyncEntry& entry = entries.emplace_back();
+    ROS2_ASSIGN_OR_RETURN(entry.oid.hi, edec.U64());
+    ROS2_ASSIGN_OR_RETURN(entry.oid.lo, edec.U64());
+    ROS2_ASSIGN_OR_RETURN(entry.dkey, edec.Str());
+    entry.cont = entry.oid.hi;  // the kOidAlloc convention
+  }
+  return entries;
+}
+
+// Export and import address a whole dkey: the ObjAddr prefix with an
+// empty akey, sent to the one engine named rather than routed.
+Result<Buffer> DaosClient::ExportDkey(std::uint32_t engine,
+                                      const ResyncEntry& entry) {
+  ObjCall call(DaosOpcode::kDkeyExport, kRead, entry.cont, entry.oid,
+               entry.dkey, "");
+  ROS2_ASSIGN_OR_RETURN(rpc::RpcReply reply,
+                        Call(engine, call.opcode, call.header));
+  return std::move(reply.header);
+}
+
+Result<std::uint64_t> DaosClient::ImportDkey(
+    std::uint32_t engine, const ResyncEntry& entry,
+    std::span<const std::byte> image) {
+  ObjCall call(DaosOpcode::kDkeyImport, kWrite, entry.cont, entry.oid,
+               entry.dkey, "");
+  call.header.Bytes(image);
+  return DecodeU64(Call(engine, call.opcode, call.header));
 }
 
 // ---------------------------------------------------- issue/await core
@@ -481,12 +524,6 @@ Status DaosClient::PunchAkey(ContainerId cont, const ObjectId& oid,
 
 // ---------------------------------------------------------- enumeration
 
-Result<std::vector<std::string>> DaosClient::ListDkeys(ContainerId cont,
-                                                       const ObjectId& oid) {
-  ROS2_ASSIGN_OR_RETURN(DkeyPage page, ListDkeysPage(cont, oid, "", 0));
-  return std::move(page.dkeys);
-}
-
 Status DaosClient::CheckListable() const {
   // A dkey placed on engine p lives on p's replica ring, so the UP engines
   // hold every dkey only if each ring has a readable member. Otherwise the
@@ -496,44 +533,6 @@ Status DaosClient::CheckListable() const {
     ROS2_RETURN_IF_ERROR(ReadEngine(p, kEpochHead).status());
   }
   return Status::Ok();
-}
-
-Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
-                                                       const ObjectId& oid,
-                                                       const std::string& marker,
-                                                       std::uint32_t limit) {
-  ROS2_RETURN_IF_ERROR(CheckListable());
-  // Each engine pre-filters (> marker) and pre-truncates to `limit`, so
-  // the client merge set holds at most engines * limit entries, never the
-  // whole directory.
-  rpc::Encoder enc;
-  enc.U64(cont).U64(oid.hi).U64(oid.lo).Str(marker).U32(limit);
-  std::set<std::string> merged;
-  bool more = false;
-  for (std::uint32_t e = 0; e < engines_.size(); ++e) {
-    if (!map_->readable(e)) continue;
-    ROS2_ASSIGN_OR_RETURN(
-        rpc::RpcReply reply,
-        Call(e, std::uint32_t(DaosOpcode::kListDkeys), enc));
-    rpc::Decoder dec(reply.header);
-    ROS2_ASSIGN_OR_RETURN(std::uint32_t count, dec.U32());
-    for (std::uint32_t i = 0; i < count; ++i) {
-      ROS2_ASSIGN_OR_RETURN(std::string dkey, dec.Str());
-      merged.insert(std::move(dkey));
-    }
-    ROS2_ASSIGN_OR_RETURN(std::uint8_t engine_more, dec.U8());
-    more = more || engine_more != 0;
-  }
-  DkeyPage page;
-  page.dkeys.assign(merged.begin(), merged.end());
-  if (limit != 0 && page.dkeys.size() > limit) {
-    // The merge across engines can overshoot: dkeys past the cut are
-    // still pending even if every engine said "done".
-    page.dkeys.resize(limit);
-    more = true;
-  }
-  page.more = more;
-  return page;
 }
 
 Result<DaosClient::EntryPage> DaosClient::ListEntriesPage(
@@ -566,12 +565,14 @@ Result<DaosClient::EntryPage> DaosClient::ListEntriesPage(
     ROS2_ASSIGN_OR_RETURN(std::uint32_t count, dec.U32());
     pages.emplace_back().engine = e;
     std::vector<Listed>& listed = pages.back().listed;
-    // Each entry takes at least its two length prefixes.
-    listed.reserve(std::min<std::size_t>(count, dec.remaining() / 8));
+    // Each entry takes at least its dkey's length prefix.
+    listed.reserve(std::min<std::size_t>(count, dec.remaining() / 4));
     for (std::uint32_t i = 0; i < count; ++i) {
       Listed& entry = listed.emplace_back();
       ROS2_ASSIGN_OR_RETURN(entry.dkey, dec.StrView());
-      ROS2_ASSIGN_OR_RETURN(entry.value, dec.BytesView());
+      if (!akey.empty()) {
+        ROS2_ASSIGN_OR_RETURN(entry.value, dec.BytesView());
+      }
     }
     ROS2_ASSIGN_OR_RETURN(std::uint8_t engine_more, dec.U8());
     more = more || engine_more != 0;

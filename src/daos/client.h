@@ -11,7 +11,8 @@
 // engine first (then onto a target inside it), and updates optionally
 // replicate onto the next `replicas-1` engines. Engine health comes from
 // the versioned PoolMap (shareable with the control plane and the rebuild
-// task).
+// task). This is the one engine-client stack: the RebuildManager drives
+// its scan/export/import calls through a DaosClient of its own.
 //
 // Every object op — unary or batched — runs through ONE issue/await core
 // (Run): a span of ops goes out in full before any reply is awaited, and
@@ -64,7 +65,9 @@ class DaosClient {
   };
 
   /// Dials every engine of one pool (§5 follow-up: the pool may span
-  /// several), performs PoolConnect (auth) on each, returns a live client.
+  /// several), performs PoolConnect (auth) on each whatever its map state
+  /// (map state is routing policy, not reachability, so a client can join
+  /// a degraded pool), returns a live client.
   /// All engines must share `pool_label` and credentials. `pool_map` is
   /// the pool's shared map (control plane, rebuild task and other clients
   /// see the same engine states and resync journal); it must outlive the
@@ -160,32 +163,13 @@ class DaosClient {
   Status PunchAkey(ContainerId cont, const ObjectId& oid,
                    const std::string& dkey, const std::string& akey);
 
-  Result<std::vector<std::string>> ListDkeys(ContainerId cont,
-                                             const ObjectId& oid);
-
-  /// One page of an object's dkey enumeration, sorted ascending.
-  struct DkeyPage {
-    std::vector<std::string> dkeys;
-    /// True when dkeys past this page remain; resume with
-    /// marker = dkeys.back().
-    bool more = false;
-  };
-
-  /// Server-side paged enumeration: every UP engine lists its dkeys
-  /// `> marker` in order, merged from its targets and truncated to
-  /// `limit` before replying, so a million-entry directory never
-  /// materializes whole on either side (limit 0 = all). UNAVAILABLE when
-  /// some engine's dkeys have no UP replica — a listing is complete or it
-  /// is an error, never silently partial.
-  Result<DkeyPage> ListDkeysPage(ContainerId cont, const ObjectId& oid,
-                                 const std::string& marker,
-                                 std::uint32_t limit);
-
   /// One page of an object's dkeys, each with its record.
   struct EntryPage {
     struct Entry {
       std::string dkey;
-      Buffer value;  ///< the visible HEAD single value of the listed akey
+      /// The visible HEAD single value of the listed akey; empty in a
+      /// names-only listing.
+      Buffer value;
     };
     std::vector<Entry> entries;  ///< ascending by dkey
     /// True when dkeys past this page remain.
@@ -196,16 +180,21 @@ class DaosClient {
     std::string next_marker;
   };
 
-  /// ListDkeysPage that also returns, per dkey, the HEAD single value of
-  /// `akey` — a directory listing with every entry record in one round
-  /// trip per engine. Only dkeys with a visible value are listed: one
-  /// whose value is absent or punched is skipped, and any other error
-  /// (DATA_LOSS on a failed checksum) fails the page. The listing is the
-  /// one ListDkeysPage then FetchSingle per dkey would give: across
-  /// replicas the names are deduplicated, the merge is cut at `limit`,
-  /// and a dkey is then kept only with the value of the engine a HEAD
-  /// read of it goes to (ReadEngine), so a name punched there but still
-  /// live on a stale replica is not listed.
+  /// Server-side paged dkey enumeration with each dkey's record: every UP
+  /// engine lists its dkeys `> marker` in order, merged from its targets
+  /// and truncated to `limit` (0 = all) before replying, so a directory
+  /// listing is one round trip per engine and a million-entry directory
+  /// never materializes whole on either side. With a non-empty `akey`
+  /// each listed dkey carries the HEAD single value of `akey`, and only
+  /// dkeys with a visible value are listed: one whose value is absent or
+  /// punched is skipped, and any other error (DATA_LOSS on a failed
+  /// checksum) fails the page. An empty `akey` lists names only, punched
+  /// dkeys included. Across replicas the names are deduplicated, the
+  /// merge is cut at `limit`, and a dkey is then kept only if the engine
+  /// a HEAD read of it goes to (ReadEngine) listed it, so a name punched
+  /// there but still live on a stale replica is not listed. UNAVAILABLE
+  /// when some engine's dkeys have no UP replica: a listing is complete
+  /// or it is an error, never silently partial.
   Result<EntryPage> ListEntriesPage(ContainerId cont, const ObjectId& oid,
                                     const std::string& akey,
                                     const std::string& marker,
@@ -228,6 +217,34 @@ class DaosClient {
   Result<telemetry::TelemetrySnapshot> TelemetryQuery(
       std::uint32_t engine_index = 0, const std::string& prefix = {},
       bool traces = false);
+
+  // --- rebuild data movers ----------------------------------------------
+  // Engine-addressed rather than routed by dkey: the RebuildManager picks
+  // the engine (a survivor to read, the rebuilt engine to write). Like
+  // every engine-addressed call they fail UNAVAILABLE on a DOWN engine.
+
+  /// Every (cont, oid, dkey) resident on `engine` (kObjScan).
+  Result<std::vector<ResyncEntry>> ScanEngine(std::uint32_t engine);
+  /// The HEAD image of `entry`'s dkey on `engine` (kDkeyExport).
+  Result<Buffer> ExportDkey(std::uint32_t engine, const ResyncEntry& entry);
+  /// Replaces `entry`'s dkey on `engine` with `image`, an ExportDkey
+  /// result; returns the payload bytes applied (kDkeyImport).
+  Result<std::uint64_t> ImportDkey(std::uint32_t engine,
+                                   const ResyncEntry& entry,
+                                   std::span<const std::byte> image);
+
+  // --- placement ---------------------------------------------------------
+  /// Copies of every update (ConnectOptions::replicas).
+  std::uint32_t replicas() const { return replicas_; }
+  /// Primary engine index for (oid, dkey). Delegates to placement.h's
+  /// PlaceEngine, so every client computes identical replica sets.
+  std::uint32_t PrimaryEngine(const ObjectId& oid,
+                              std::string_view dkey) const;
+  /// The r-th replica engine (r < replicas()) on the ring starting at
+  /// `primary`.
+  std::uint32_t ReplicaEngine(std::uint32_t primary, std::uint32_t r) const {
+    return (primary + r) % std::uint32_t(engines_.size());
+  }
 
   net::Transport transport() const { return transport_; }
   std::uint32_t pool_targets() const { return pool_targets_; }
@@ -268,15 +285,6 @@ class DaosClient {
   Status Punch(ContainerId cont, const ObjectId& oid, const std::string& dkey,
                const std::string& akey, PunchScope scope);
 
-  /// Primary engine index for (oid, dkey); replica i lives at
-  /// (primary + i) % engines. Delegates to placement.h's PlaceEngine so
-  /// the rebuild task computes identical replica sets.
-  std::uint32_t PrimaryEngine(const ObjectId& oid,
-                              std::string_view dkey) const;
-  /// The r-th replica engine on the ring starting at `primary`.
-  std::uint32_t ReplicaEngine(std::uint32_t primary, std::uint32_t r) const {
-    return (primary + r) % std::uint32_t(engines_.size());
-  }
   /// The engine a read of a dkey placed on `primary` goes to: the primary
   /// itself for a snapshot epoch (it must be UP), the first UP replica for
   /// kEpochHead. UNAVAILABLE when there is none.
@@ -302,7 +310,8 @@ class DaosClient {
   void Complete(ObjCall& call, std::span<Copy> copies);
 
   /// Unary call against a specific engine, for ops that are not routed by
-  /// dkey (pool connect, metadata, telemetry, per-engine enumeration).
+  /// dkey (metadata, telemetry, per-engine enumeration, rebuild). A DOWN
+  /// engine fails it UNAVAILABLE.
   /// Headers travel as the Encoder that built them so the RPC layer can
   /// refuse overflowed encodes.
   Result<rpc::RpcReply> Call(std::uint32_t engine, std::uint32_t opcode,

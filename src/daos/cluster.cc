@@ -44,9 +44,9 @@ Result<std::unique_ptr<DaosClient>> Cluster::Connect(
 }
 
 Result<std::unique_ptr<RebuildManager>> Cluster::NewRebuildManager(
-    const RebuildManager::Options& options) {
-  return RebuildManager::Create(&fabric_, raw_engines_, &map_,
-                                !spec_.progress_threads, options);
+    const DaosClient::ConnectOptions& options) {
+  ROS2_ASSIGN_OR_RETURN(std::unique_ptr<DaosClient> client, Connect(options));
+  return std::make_unique<RebuildManager>(std::move(client));
 }
 
 }  // namespace ros2::daos

@@ -56,12 +56,14 @@ class Cluster {
     return i < devices_.size() ? devices_[i].get() : nullptr;
   }
 
-  /// DaosClient::Connect / RebuildManager::Create over every engine, with
-  /// the shared map and progress_pump = !spec.progress_threads filled in.
+  /// DaosClient::Connect over every engine, with the shared map and
+  /// progress_pump = !spec.progress_threads filled in.
   Result<std::unique_ptr<DaosClient>> Connect(
       const DaosClient::ConnectOptions& options);
+  /// A RebuildManager on a client connected as above; `options.replicas`
+  /// must match the data-path clients'.
   Result<std::unique_ptr<RebuildManager>> NewRebuildManager(
-      const RebuildManager::Options& options);
+      const DaosClient::ConnectOptions& options);
 
  private:
   explicit Cluster(ClusterSpec spec);

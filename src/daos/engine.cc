@@ -22,7 +22,6 @@ std::string DaosOpcodeName(std::uint32_t opcode) {
     case DaosOpcode::kSingleUpdate: return "single_update";
     case DaosOpcode::kSingleFetch: return "single_fetch";
     case DaosOpcode::kObjPunch: return "obj_punch";
-    case DaosOpcode::kListDkeys: return "list_dkeys";
     case DaosOpcode::kListAkeys: return "list_akeys";
     case DaosOpcode::kArraySize: return "array_size";
     case DaosOpcode::kAggregate: return "aggregate";
@@ -381,8 +380,7 @@ void DaosEngine::RegisterHandlers() {
   answer(DaosOpcode::kContOpen, &DaosEngine::HandleContOpen);
   answer(DaosOpcode::kOidAlloc, &DaosEngine::HandleOidAlloc);
   answer(DaosOpcode::kTelemetryQuery, &DaosEngine::HandleTelemetryQuery);
-  barrier(DaosOpcode::kListDkeys, &DaosEngine::HandleListDkeys);
-  barrier(DaosOpcode::kListEntries, &DaosEngine::HandleListEntries);
+  barrier(DaosOpcode::kListEntries, &DaosEngine::ListDkeyPage);
   barrier(DaosOpcode::kObjScan, &DaosEngine::HandleObjScan);
   // The one placement decided at dispatch: an object-scope punch runs as
   // a barrier, a dkey/akey punch on the dkey's xstream.
@@ -502,15 +500,7 @@ Result<Buffer> DaosEngine::HandleOidAlloc(const Buffer& header) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::HandleListDkeys(const Buffer& header) {
-  return ListDkeyPage(header, /*entries=*/false);
-}
-
-Result<Buffer> DaosEngine::HandleListEntries(const Buffer& header) {
-  return ListDkeyPage(header, /*entries=*/true);
-}
-
-Result<Buffer> DaosEngine::ListDkeyPage(const Buffer& header, bool entries) {
+Result<Buffer> DaosEngine::ListDkeyPage(const Buffer& header) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(ContainerId cont_id, dec.U64());
   ObjectId oid;
@@ -518,10 +508,8 @@ Result<Buffer> DaosEngine::ListDkeyPage(const Buffer& header, bool entries) {
   ROS2_ASSIGN_OR_RETURN(oid.lo, dec.U64());
   ROS2_ASSIGN_OR_RETURN(std::string marker, dec.Str());
   ROS2_ASSIGN_OR_RETURN(std::uint32_t limit, dec.U32());
-  std::string akey;
-  if (entries) {
-    ROS2_ASSIGN_OR_RETURN(akey, dec.Str());
-  }
+  ROS2_ASSIGN_OR_RETURN(std::string akey, dec.Str());
+  const bool entries = !akey.empty();  // else names only
   ROS2_RETURN_IF_ERROR(FindContainer(cont_id).status());
   // Paged enumeration (limit 0 = everything): each target lists its first
   // `limit` dkeys past the marker, in order, so the page is the first

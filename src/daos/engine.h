@@ -22,9 +22,9 @@
 // targets interleave. Metadata ops answer inline from dispatch. The
 // barrier ops — object punch, dkey listing and the rebuild scan — touch
 // every target, so they drain the xstreams first and observe every
-// previously-issued op. A dkey listing merges the targets' sorted runs,
-// and can carry each dkey's record along (kListEntries), so a directory
-// listing is one round trip.
+// previously-issued op. A dkey listing (kListEntries) merges the targets'
+// sorted runs and carries each dkey's record of one akey along (names
+// only when the akey is empty), so a directory listing is one round trip.
 #pragma once
 
 #include <atomic>
@@ -62,19 +62,16 @@ enum class DaosOpcode : std::uint32_t {
   kSingleUpdate,
   kSingleFetch,
   kObjPunch,
-  /// Paged dkey listing of one object, all targets (barrier). Header:
-  /// u64 cont, u64 oid.hi, u64 oid.lo, str marker, u32 limit (0 = all).
-  /// Reply: u32 count, then count x str dkey (ascending, all > marker),
-  /// then u8 more.
-  kListDkeys,
-  kListAkeys,
+  // 109 is retired and stays unassigned: a stray frame for it gets the
+  // server's unknown-opcode reply.
+  kListAkeys = 110,
   kArraySize,
   kAggregate,
   /// Control plane: export a telemetry snapshot (header = flags + path
   /// prefix; reply = wire-encoded TelemetrySnapshot).
   kTelemetryQuery,
   /// Rebuild scan: every (oid, dkey) resident on this engine, all targets
-  /// (barrier, like kListDkeys). Reply: u32 count, then per entry
+  /// (barrier, like kListEntries). Reply: u32 count, then per entry
   /// {u64 oid.hi, u64 oid.lo, str dkey}. The container is oid.hi by the
   /// kOidAlloc convention.
   kObjScan,
@@ -87,11 +84,14 @@ enum class DaosOpcode : std::uint32_t {
   /// apply at fresh epochs). Header = ObjAddr (akey ignored) + bytes(the
   /// kDkeyExport reply, verbatim). Reply: u64 payload bytes applied.
   kDkeyImport,
-  /// kListDkeys with each dkey's record (barrier): the kListDkeys header
-  /// followed by str akey. Lists only the dkeys whose akey has a visible
-  /// HEAD single value; reply: u32 count, then count x {str dkey, bytes
-  /// value}, then u8 more. Any error but an absent or punched value fails
-  /// the whole page (a failed checksum is DATA_LOSS).
+  /// Paged dkey listing of one object, all targets (barrier). Header:
+  /// u64 cont, u64 oid.hi, u64 oid.lo, str marker, u32 limit (0 = all),
+  /// str akey. Reply: u32 count, then count x {str dkey, bytes value}
+  /// (ascending, all > marker), then u8 more. An empty akey lists names
+  /// only: every dkey, punched ones included, and no value field. A
+  /// non-empty akey lists only the dkeys whose akey has a visible HEAD
+  /// single value, with that value; any error but an absent or punched
+  /// value fails the whole page (a failed checksum is DATA_LOSS).
   kListEntries,
 };
 
@@ -294,11 +294,10 @@ class DaosEngine {
   Result<Buffer> HandleContCreate(const Buffer& header);
   Result<Buffer> HandleContOpen(const Buffer& header);
   Result<Buffer> HandleOidAlloc(const Buffer& header);
-  Result<Buffer> HandleListDkeys(const Buffer& header);
-  Result<Buffer> HandleListEntries(const Buffer& header);
-  /// Both listings: every target appends its sorted run (names, plus the
-  /// `akey` values when `entries`), and the reply is their merge.
-  Result<Buffer> ListDkeyPage(const Buffer& header, bool entries);
+  /// kListEntries: every target appends its sorted run (names, plus the
+  /// akey's values when the akey is non-empty), and the reply is their
+  /// merge.
+  Result<Buffer> ListDkeyPage(const Buffer& header);
   Result<Buffer> HandleTelemetryQuery(const Buffer& header);
   Result<Buffer> HandleObjScan(const Buffer& header);
 

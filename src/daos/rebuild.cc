@@ -2,91 +2,31 @@
 
 #include <set>
 
-#include "daos/placement.h"
-#include "rpc/wire.h"
-
 namespace ros2::daos {
-namespace {
 
-void EncodeDkeyAddr(rpc::Encoder& enc, const ResyncEntry& entry) {
-  // The ObjAddr wire prefix with an empty akey (export/import address
-  // whole dkeys).
-  enc.U64(entry.cont).U64(entry.oid.hi).U64(entry.oid.lo).Str(entry.dkey);
-  enc.Str("");
-}
-
-}  // namespace
-
-Result<std::unique_ptr<RebuildManager>> RebuildManager::Create(
-    net::Fabric* fabric, std::span<DaosEngine* const> engines,
-    PoolMap* pool_map, bool progress_pump, const Options& options) {
-  if (pool_map == nullptr || pool_map->engine_count() != engines.size()) {
-    return Status(InvalidArgument(
-        "rebuild needs the pool map, one entry per engine"));
+RebuildManager::RebuildManager(std::unique_ptr<DaosClient> client)
+    : client_(std::move(client)), map_(client_->pool_map()) {
+  for (std::uint32_t e = 0; e < client_->engine_count(); ++e) {
+    stats_.push_back(std::make_unique<PerEngine>());
   }
-  if (options.replicas == 0 || options.replicas > engines.size()) {
-    return Status(InvalidArgument("replicas must be in [1, engines]"));
-  }
-  ROS2_ASSIGN_OR_RETURN(net::Endpoint * ep,
-                        fabric->CreateEndpoint(options.address));
-  const net::PdId pd = ep->AllocPd(options.tenant);
-
-  auto mgr = std::unique_ptr<RebuildManager>(new RebuildManager());
-  mgr->map_ = pool_map;
-  mgr->replicas_ = options.replicas;
-  mgr->max_journal_passes_ = options.max_journal_passes;
-  for (DaosEngine* engine : engines) {
-    ROS2_ASSIGN_OR_RETURN(
-        net::Qp * qp, ep->Connect(engine->endpoint(), options.transport, pd,
-                                  engine->pd()));
-    mgr->rpcs_.push_back(std::make_unique<rpc::RpcClient>(
-        qp, ep,
-        progress_pump
-            ? std::function<void()>([engine] { (void)engine->ProgressAll(); })
-            : std::function<void()>()));
-    if (!progress_pump) mgr->rpcs_.back()->set_stall_timeout_ms(10000.0);
-    mgr->stats_.push_back(std::make_unique<PerEngine>());
-  }
-  // Auth handshake against every engine's pool service, like any client.
-  for (std::uint32_t e = 0; e < mgr->rpcs_.size(); ++e) {
-    rpc::Encoder enc;
-    enc.Str(options.pool_label).Str(options.access_token);
-    ROS2_RETURN_IF_ERROR(
-        mgr->rpcs_[e]
-            ->Call(std::uint32_t(DaosOpcode::kPoolConnect), enc)
-            .status());
-  }
-  return mgr;
 }
 
 Result<std::vector<ResyncEntry>> RebuildManager::ScanSurvivors(
     std::uint32_t engine) {
-  const std::uint32_t n = std::uint32_t(rpcs_.size());
+  const std::uint32_t n = client_->engine_count();
   std::set<ResyncEntry> owed;
   bool any_survivor = false;
   for (std::uint32_t s = 0; s < n; ++s) {
     if (s == engine || !map_->readable(s)) continue;
     any_survivor = true;
-    rpc::Encoder enc;  // kObjScan takes no header fields
-    ROS2_ASSIGN_OR_RETURN(
-        rpc::RpcReply reply,
-        rpcs_[s]->Call(std::uint32_t(DaosOpcode::kObjScan), enc));
-    rpc::Decoder dec(reply.header);
-    ROS2_ASSIGN_OR_RETURN(std::uint32_t count, dec.U32());
-    ROS2_ASSIGN_OR_RETURN(Buffer entries, dec.Bytes());
-    rpc::Decoder edec(entries);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      ResyncEntry entry;
-      ROS2_ASSIGN_OR_RETURN(entry.oid.hi, edec.U64());
-      ROS2_ASSIGN_OR_RETURN(entry.oid.lo, edec.U64());
-      ROS2_ASSIGN_OR_RETURN(entry.dkey, edec.Str());
-      entry.cont = entry.oid.hi;  // the kOidAlloc convention
+    ROS2_ASSIGN_OR_RETURN(std::vector<ResyncEntry> resident,
+                          client_->ScanEngine(s));
+    for (ResyncEntry& entry : resident) {
+      // Does the rebuilt engine owe a copy (is it on the dkey's ring)?
       const std::uint32_t primary =
-          PlaceEngine(entry.oid, entry.dkey, n);
-      // Does the rebuilt engine owe a copy? Replica r lives at
-      // (primary + r) % n.
-      for (std::uint32_t r = 0; r < replicas_; ++r) {
-        if ((primary + r) % n == engine) {
+          client_->PrimaryEngine(entry.oid, entry.dkey);
+      for (std::uint32_t r = 0; r < client_->replicas(); ++r) {
+        if (client_->ReplicaEngine(primary, r) == engine) {
           owed.insert(std::move(entry));
           break;
         }
@@ -101,11 +41,11 @@ Result<std::vector<ResyncEntry>> RebuildManager::ScanSurvivors(
 
 Status RebuildManager::Resilver(std::uint32_t engine,
                                 const ResyncEntry& entry) {
-  const std::uint32_t n = std::uint32_t(rpcs_.size());
-  const std::uint32_t primary = PlaceEngine(entry.oid, entry.dkey, n);
+  const std::uint32_t n = client_->engine_count();
+  const std::uint32_t primary = client_->PrimaryEngine(entry.oid, entry.dkey);
   std::uint32_t source = n;
-  for (std::uint32_t r = 0; r < replicas_; ++r) {
-    const std::uint32_t s = (primary + r) % n;
+  for (std::uint32_t r = 0; r < client_->replicas(); ++r) {
+    const std::uint32_t s = client_->ReplicaEngine(primary, r);
     if (s != engine && map_->readable(s)) {
       source = s;
       break;
@@ -116,19 +56,9 @@ Status RebuildManager::Resilver(std::uint32_t engine,
                        "' to rebuild from (pool map v" +
                        std::to_string(map_->version()) + ")");
   }
-  rpc::Encoder exp;
-  EncodeDkeyAddr(exp, entry);
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply image,
-      rpcs_[source]->Call(std::uint32_t(DaosOpcode::kDkeyExport), exp));
-  rpc::Encoder imp;
-  EncodeDkeyAddr(imp, entry);
-  imp.Bytes(image.header);
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply applied,
-      rpcs_[engine]->Call(std::uint32_t(DaosOpcode::kDkeyImport), imp));
-  rpc::Decoder dec(applied.header);
-  ROS2_ASSIGN_OR_RETURN(std::uint64_t bytes, dec.U64());
+  ROS2_ASSIGN_OR_RETURN(Buffer image, client_->ExportDkey(source, entry));
+  ROS2_ASSIGN_OR_RETURN(std::uint64_t bytes,
+                        client_->ImportDkey(engine, entry, image));
   stats_[engine]->bytes_copied.Add(bytes);
   return Status::Ok();
 }
@@ -146,7 +76,7 @@ Status RebuildManager::DrainPass(std::uint32_t engine, bool* was_empty) {
 }
 
 Status RebuildManager::Rebuild(std::uint32_t engine) {
-  if (engine >= rpcs_.size()) return InvalidArgument("no such engine");
+  if (engine >= stats_.size()) return InvalidArgument("no such engine");
   if (map_->state(engine) == EngineState::kUp) {
     return FailedPrecondition("engine " + std::to_string(engine) +
                               " is UP; nothing to rebuild");
@@ -186,14 +116,14 @@ Status RebuildManager::Rebuild(std::uint32_t engine) {
   // import on the REBUILDING engine) keep feeding it; each pass re-silvers
   // survivor HEAD, which includes those writes.
   bool empty = false;
-  for (std::uint32_t pass = 0; pass < max_journal_passes_ && !empty;
+  for (std::uint32_t pass = 0; pass < kMaxJournalPasses && !empty;
        ++pass) {
     ROS2_RETURN_IF_ERROR(DrainPass(engine, &empty));
   }
   if (!empty) {
     return Unavailable(
         "resync journal did not quiesce within " +
-        std::to_string(max_journal_passes_) +
+        std::to_string(kMaxJournalPasses) +
         " passes; engine left REBUILDING (writes land, reads fail over)");
   }
   ROS2_RETURN_IF_ERROR(map_->SetState(engine, EngineState::kUp));
@@ -206,15 +136,15 @@ Status RebuildManager::Rebuild(std::uint32_t engine) {
 }
 
 Status RebuildManager::Resync(std::uint32_t engine) {
-  if (engine >= rpcs_.size()) return InvalidArgument("no such engine");
+  if (engine >= stats_.size()) return InvalidArgument("no such engine");
   bool empty = false;
-  for (std::uint32_t pass = 0; pass < max_journal_passes_ && !empty;
+  for (std::uint32_t pass = 0; pass < kMaxJournalPasses && !empty;
        ++pass) {
     ROS2_RETURN_IF_ERROR(DrainPass(engine, &empty));
   }
   if (!empty) {
     return Unavailable("resync journal did not quiesce within " +
-                       std::to_string(max_journal_passes_) + " passes");
+                       std::to_string(kMaxJournalPasses) + " passes");
   }
   return Status::Ok();
 }

@@ -26,23 +26,22 @@
 //      such stragglers once traffic quiesces (DAOS's incremental
 //      reintegration tick).
 //
-// The manager is a pool-service client: it owns its own fabric endpoint
-// and an RPC connection per engine, and shares the PoolMap (and its
-// journal) with the control plane and the data-path clients.
+// The manager holds only rebuild policy (which engine owes a dkey, which
+// replica to copy it from, the journal loop and its counters). It moves
+// data through a DaosClient it owns, whose engine-addressed scan, export
+// and import calls share the one client stack and its PoolMap (and
+// journal) with the control plane and the data-path clients, like
+// upstream migration reading survivors through the object client.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "daos/engine.h"
+#include "daos/client.h"
 #include "daos/pool_map.h"
-#include "net/fabric.h"
-#include "rpc/data_rpc.h"
 #include "telemetry/metrics.h"
 
 namespace ros2::daos {
@@ -57,29 +56,10 @@ namespace ros2::daos {
 /// an unannotated raw mutex member).
 class RebuildManager {
  public:
-  struct Options {
-    std::string address = "fabric://daos-rebuild";
-    net::Transport transport = net::Transport::kRdma;
-    std::string pool_label = "pool0";
-    std::string access_token;
-    net::TenantId tenant = net::kSystemTenant;
-    /// Must match the data-path clients' replication factor: the ring
-    /// membership test uses it to decide which dkeys the rebuilt engine
-    /// owes a copy of.
-    std::uint32_t replicas = 1;
-    /// Journal-drain passes before giving up (a pass that finds the
-    /// journal empty ends the loop early).
-    std::uint32_t max_journal_passes = 64;
-  };
-
-  /// Dials every engine (PoolConnect handshake included). `pool_map` is
-  /// the shared health authority; must outlive the manager and have
-  /// engine_count == engines.size(). `progress_pump` as in
-  /// DaosClient::Connect. daos::Cluster::NewRebuildManager fills in
-  /// everything but `options`.
-  static Result<std::unique_ptr<RebuildManager>> Create(
-      net::Fabric* fabric, std::span<DaosEngine* const> engines,
-      PoolMap* pool_map, bool progress_pump, const Options& options);
+  /// Rebuilds through `client`, whose pool map is the shared health
+  /// authority and whose replica count decides which dkeys an engine
+  /// owes. daos::Cluster::NewRebuildManager connects it.
+  explicit RebuildManager(std::unique_ptr<DaosClient> client);
 
   RebuildManager(const RebuildManager&) = delete;
   RebuildManager& operator=(const RebuildManager&) = delete;
@@ -88,7 +68,10 @@ class RebuildManager {
   /// re-silver, drain the journal, mark UP. On success the engine serves
   /// reads again and holds a byte-identical HEAD copy of every dkey it
   /// owes. Fails without marking UP when no survivor covers some dkey or
-  /// the journal refuses to quiesce within max_journal_passes.
+  /// the journal refuses to quiesce within kMaxJournalPasses. The copies
+  /// go through DaosClient calls, so an engine marked DOWN mid-rebuild
+  /// fails it fast with UNAVAILABLE instead of receiving imports; rebuild
+  /// it again once it returns (the survivor scan re-derives the worklist).
   Status Rebuild(std::uint32_t engine);
 
   /// Drains whatever the resync journal currently holds for `engine`
@@ -122,21 +105,21 @@ class RebuildManager {
     std::atomic<bool> complete{false};
   };
 
-  RebuildManager() = default;
+  /// Journal-drain passes before giving up (a pass that finds the
+  /// journal empty ends the loop early).
+  static constexpr std::uint32_t kMaxJournalPasses = 64;
 
-  /// Export (cont, oid, dkey) from its first UP surviving replica and
-  /// import onto `engine`.
+  /// Export (cont, oid, dkey) from its first UP replica other than
+  /// `engine` and import onto `engine`.
   Status Resilver(std::uint32_t engine, const ResyncEntry& entry);
   /// Survivor bulk scan: every dkey in the pool whose replica ring
   /// contains `engine`.
   Result<std::vector<ResyncEntry>> ScanSurvivors(std::uint32_t engine);
   Status DrainPass(std::uint32_t engine, bool* was_empty);
 
-  std::vector<std::unique_ptr<rpc::RpcClient>> rpcs_;
-  std::vector<std::unique_ptr<PerEngine>> stats_;
+  std::unique_ptr<DaosClient> client_;
   PoolMap* map_ = nullptr;
-  std::uint32_t replicas_ = 1;
-  std::uint32_t max_journal_passes_ = 64;
+  std::vector<std::unique_ptr<PerEngine>> stats_;
 };
 
 }  // namespace ros2::daos

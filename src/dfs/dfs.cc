@@ -99,10 +99,8 @@ Result<std::unique_ptr<Dfs>> Dfs::Mount(daos::DaosClient* client,
   if (config.chunk_size == 0) {
     return Status(InvalidArgument("chunk size must be > 0"));
   }
-  if (config.readahead_chunks == 0 || config.write_coalesce_chunks == 0) {
-    return Status(
-        InvalidArgument("stream windows must be >= 1 chunk (use the "
-                        "readahead/batch_io switches to disable)"));
+  if (config.write_coalesce_chunks == 0) {
+    return Status(InvalidArgument("write_coalesce_chunks must be >= 1"));
   }
   auto dfs = std::unique_ptr<Dfs>(new Dfs(client, cont, config));
   if (create) {

@@ -55,9 +55,8 @@ struct DfsConfig {
   std::size_t lookup_cache_entries = 4096;
 
   /// Input-stream readahead: DfsInputStream refills a window of
-  /// readahead_chunks chunks per miss. Off = the stream reads exactly what
-  /// the caller asked for, nothing speculative.
-  bool readahead = true;
+  /// readahead_chunks chunks per miss. 0 = no readahead: the stream reads
+  /// exactly what the caller asked for, nothing speculative.
   std::uint64_t readahead_chunks = 8;
 
   /// Output-stream coalescing window, in chunks: DfsOutputStream buffers

@@ -78,8 +78,8 @@ Status DfsInputStream::Refill() {
 }
 
 Result<std::uint64_t> DfsInputStream::Read(std::span<std::byte> out) {
-  if (!dfs_->config().readahead) {
-    // Kill switch: no speculative window, one exact-size read per call.
+  if (window_.empty()) {
+    // No readahead: no speculative window, one exact-size read per call.
     ROS2_ASSIGN_OR_RETURN(std::uint64_t n, dfs_->Read(fd_, offset_, out));
     offset_ += n;
     return n;

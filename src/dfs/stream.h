@@ -70,9 +70,9 @@ class DfsOutputStream {
 ///
 /// Each window miss refills readahead bytes ahead of the cursor in one
 /// pipelined multi-chunk read (default window: the mount's
-/// readahead_chunks * chunk_size). With DfsConfig::readahead off the
-/// stream is a pass-through: every Read goes straight to Dfs::Read for
-/// exactly the bytes asked, nothing speculative.
+/// readahead_chunks * chunk_size). With a 0-byte window
+/// (readahead_chunks = 0) the stream is a pass-through: every Read goes
+/// straight to Dfs::Read for exactly the bytes asked, nothing speculative.
 class DfsInputStream {
  public:
   DfsInputStream(Dfs* dfs, Fd fd, std::size_t readahead = 0);

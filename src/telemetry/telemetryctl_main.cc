@@ -209,11 +209,9 @@ struct Demo {
                         dfs_config));
     demo->dfs->AttachTelemetry(tree);
     if (options.rebuild) {
-      daos::RebuildManager::Options ropt;
-      ropt.address = "fabric://telemetryctl-rebuild";
-      ropt.replicas = options.replicas;
+      connect.client_address = "fabric://telemetryctl-rebuild";
       ROS2_ASSIGN_OR_RETURN(demo->rebuild,
-                            demo->cluster->NewRebuildManager(ropt));
+                            demo->cluster->NewRebuildManager(connect));
       demo->rebuild->AttachTelemetry(tree);
     }
     return demo;
@@ -261,7 +259,8 @@ struct Demo {
       ROS2_RETURN_IF_ERROR(
           client->FetchSingle(cont, oid, dkey, "a").status());
     }
-    ROS2_RETURN_IF_ERROR(client->ListDkeys(cont, oid).status());
+    ROS2_RETURN_IF_ERROR(
+        client->ListEntriesPage(cont, oid, "", "", 0).status());
     return RunDfsPass();
   }
 

@@ -146,9 +146,9 @@ TEST_P(DaosClientTest, DkeysSpreadOverEngineTargets) {
   }
   EXPECT_GE(populated, 4);
   // And enumeration through the client sees all dkeys across targets.
-  auto dkeys = client_->ListDkeys(cont_, *oid);
+  auto dkeys = client_->ListEntriesPage(cont_, *oid, "", "", 0);
   ASSERT_TRUE(dkeys.ok());
-  EXPECT_EQ(dkeys->size(), 64u);
+  EXPECT_EQ(dkeys->entries.size(), 64u);
 }
 
 TEST_P(DaosClientTest, PunchScopes) {
@@ -171,9 +171,9 @@ TEST_P(DaosClientTest, PunchScopes) {
   for (std::byte b : out) EXPECT_EQ(b, std::byte(0));
 
   ASSERT_TRUE(client_->PunchObject(cont_, *oid).ok());
-  auto dkeys = client_->ListDkeys(cont_, *oid);
+  auto dkeys = client_->ListEntriesPage(cont_, *oid, "", "", 0);
   ASSERT_TRUE(dkeys.ok());
-  EXPECT_TRUE(dkeys->empty());
+  EXPECT_TRUE(dkeys->entries.empty());
 }
 
 TEST_P(DaosClientTest, FetchZeroesHolesAndPunchedRanges) {
@@ -310,11 +310,12 @@ TEST(DkeyListingTest, PagesReportMoreEvenWhenOneTargetHoldsThemAll) {
     std::string name_marker;
     std::string entry_marker;
     for (int page = 0; page < 8; ++page) {
-      auto names = c.ListDkeysPage(*cont, oid, name_marker, 2);
+      auto names = c.ListEntriesPage(*cont, oid, "", name_marker, 2);
       ASSERT_TRUE(names.ok());
-      name_pages.push_back(names->dkeys.size());
+      name_pages.push_back(names->entries.size());
       if (!names->more) break;
-      name_marker = names->dkeys.back();
+      EXPECT_EQ(names->next_marker, names->entries.back().dkey);
+      name_marker = names->next_marker;
     }
     for (int page = 0; page < 8; ++page) {
       auto entries = c.ListEntriesPage(*cont, oid, "e", entry_marker, 2);

@@ -93,7 +93,7 @@ TEST_F(DfsScaleTest, BatchRoundTripExceedsClientWindow) {
   DfsConfig plain;
   plain.batch_io = false;
   plain.lookup_cache_entries = 0;
-  plain.readahead = false;
+  plain.readahead_chunks = 0;
   auto seq = NewMount(/*create=*/false, plain);
   ASSERT_NE(seq, nullptr);
   auto fd2 = seq->Open("/wide", OpenFlags{});
@@ -287,7 +287,7 @@ TEST_F(DfsScaleTest, KillSwitchesDisableAcceleratorsNotSemantics) {
   DfsConfig plain;
   plain.batch_io = false;
   plain.lookup_cache_entries = 0;
-  plain.readahead = false;
+  plain.readahead_chunks = 0;
   auto dfs = NewMount(/*create=*/true, plain);
   ASSERT_NE(dfs, nullptr);
   telemetry::Telemetry tree;

@@ -367,10 +367,11 @@ TEST_F(ThreadedEngineTest, ProgressThreadServesClientsWithoutAPump) {
   EXPECT_EQ(engine_->updates(), std::uint64_t(kOps));
 
   // Barrier op (dkey enumeration) answered by the progress thread too.
-  // Wire format: obj addr + paging marker/limit ("" + 0 = everything).
+  // Wire format: obj addr + paging marker/limit ("" + 0 = everything) +
+  // akey ("" = names only).
   rpc::Encoder list;
-  list.U64(*cont).U64(oid.hi).U64(oid.lo).Str("").U32(0);
-  auto listed = client->Call(std::uint32_t(DaosOpcode::kListDkeys), list);
+  list.U64(*cont).U64(oid.hi).U64(oid.lo).Str("").U32(0).Str("");
+  auto listed = client->Call(std::uint32_t(DaosOpcode::kListEntries), list);
   ASSERT_TRUE(listed.ok()) << listed.status().ToString();
   rpc::Decoder dec(listed->header);
   auto count = dec.U32();

@@ -467,11 +467,11 @@ TEST_F(EnginePipelineTest, RejectedDkeyImportKeepsTheOldValue) {
 
 // ------------------------------------- malformed target-routed requests
 
-/// Every target-routed opcode x {serial, threaded engine}: a header cut
-/// off inside the ObjAddr prefix and one cut off inside the op tail both
-/// get a DATA_LOSS reply, and the QP keeps serving afterwards.
-class EngineMalformedRequestTest
-    : public ::testing::TestWithParam<std::tuple<DaosOpcode, bool>> {
+/// A one-engine cluster, serial or threaded (the param's second field),
+/// with dkey "d" seeded and a raw RPC client to send it malformed frames.
+template <typename Case>
+class EngineMalformedFixture
+    : public ::testing::TestWithParam<std::tuple<Case, bool>> {
  protected:
   static constexpr ObjectId kOid{1, 9};
 
@@ -488,7 +488,7 @@ class EngineMalformedRequestTest
     spec.engine.address = "fabric://malformed-engine";
     spec.engine.targets = 4;
     spec.engine.scm_per_target = 16 * kMiB;
-    spec.engine.xstream_workers = std::get<1>(GetParam());
+    spec.engine.xstream_workers = std::get<1>(this->GetParam());
     auto cluster = Cluster::Boot(spec);
     ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
     cluster_ = std::move(*cluster);
@@ -569,6 +569,11 @@ class EngineMalformedRequestTest
   Buffer window_ = Buffer(64);
 };
 
+/// Every target-routed opcode x {serial, threaded engine}: a header cut
+/// off inside the ObjAddr prefix and one cut off inside the op tail both
+/// get a DATA_LOSS reply, and the QP keeps serving afterwards.
+using EngineMalformedRequestTest = EngineMalformedFixture<DaosOpcode>;
+
 TEST_P(EngineMalformedRequestTest, TruncatedHeaderGetsDataLossQpStaysUp) {
   const DaosOpcode op = std::get<0>(GetParam());
   const Request req = Valid(op);
@@ -608,11 +613,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------- malformed enumeration requests
 
-/// The barrier enumeration ops x {serial, threaded engine}: a request cut
-/// off after the oid, after the marker, after the limit or inside the
-/// akey, or with a length prefix past the frame's end, gets DATA_LOSS; an
-/// akey holding an array is INVALID_ARGUMENT; the QP keeps serving.
-class EngineMalformedEnumerationTest : public EngineMalformedRequestTest {
+// Opcode numbers are wire values: the retired names-only listing's slot
+// (109) stays empty and the opcodes after it keep their numbers.
+static_assert(std::uint32_t(DaosOpcode::kObjPunch) == 108);
+static_assert(std::uint32_t(DaosOpcode::kListAkeys) == 110);
+static_assert(std::uint32_t(DaosOpcode::kListEntries) == 117);
+
+/// The dkey listing, names only (empty akey) and with entries (akey "s"),
+/// x {serial, threaded engine}: a request cut off after the oid, after
+/// the marker, after the limit or inside the akey, or with a length prefix
+/// past the frame's end, gets DATA_LOSS; an akey holding an array is
+/// INVALID_ARGUMENT; the QP keeps serving.
+class EngineMalformedEnumerationTest : public EngineMalformedFixture<bool> {
  protected:
   /// The request with its length-prefixed fields' end offsets.
   struct Listing {
@@ -622,7 +634,7 @@ class EngineMalformedEnumerationTest : public EngineMalformedRequestTest {
     std::size_t limit_end = 0;
   };
 
-  Listing ValidListing(DaosOpcode op, const std::string& akey) {
+  Listing ValidListing(const std::string& akey) {
     Listing req;
     rpc::Encoder enc;
     enc.U64(cont_).U64(kOid.hi).U64(kOid.lo);
@@ -631,23 +643,21 @@ class EngineMalformedEnumerationTest : public EngineMalformedRequestTest {
     req.marker_end = enc.buffer().size();
     enc.U32(0);
     req.limit_end = enc.buffer().size();
-    if (op == DaosOpcode::kListEntries) enc.Str(akey);
+    enc.Str(akey);
     req.header = enc.Take();
     return req;
   }
 };
 
 TEST_P(EngineMalformedEnumerationTest, TruncatedOrInflatedGetsErrorQpStaysUp) {
-  const DaosOpcode op = std::get<0>(GetParam());
-  const bool entries = op == DaosOpcode::kListEntries;
-  const Listing req = ValidListing(op, "s");
-  std::vector<std::size_t> cuts = {req.oid_end, req.marker_end};
-  if (entries) {
-    cuts.push_back(req.limit_end);
-    cuts.push_back(req.header.size() - 1);  // inside the akey
-  }
+  const bool entries = std::get<0>(GetParam());
+  const Listing req = ValidListing(entries ? "s" : "");
+  // Inside the akey: its value, or the length prefix of an empty one.
+  const std::vector<std::size_t> cuts = {req.oid_end, req.marker_end,
+                                         req.limit_end,
+                                         req.header.size() - 1};
   auto call = [&](std::span<const std::byte> header) {
-    return client_->Call(std::uint32_t(op), header);
+    return client_->Call(std::uint32_t(DaosOpcode::kListEntries), header);
   };
   for (std::size_t cut : cuts) {
     EXPECT_EQ(call(std::span(req.header).first(cut)).status().code(),
@@ -655,20 +665,16 @@ TEST_P(EngineMalformedEnumerationTest, TruncatedOrInflatedGetsErrorQpStaysUp) {
         << "cut at " << cut << " of " << req.header.size();
   }
   // A length prefix that claims more bytes than the frame holds: the
-  // marker's, and (kListEntries) the akey's.
-  std::vector<std::size_t> prefixes = {req.oid_end};
-  if (entries) prefixes.push_back(req.limit_end);
-  for (std::size_t at : prefixes) {
+  // marker's and the akey's.
+  for (std::size_t at : {req.oid_end, req.limit_end}) {
     Buffer inflated = req.header;
     inflated[at] = std::byte{0xFF};
     inflated[at + 1] = std::byte{0xFF};
     EXPECT_EQ(call(inflated).status().code(), ErrorCode::kDataLoss)
         << "prefix at " << at;
   }
-  if (entries) {
-    EXPECT_EQ(call(ValidListing(op, "arr").header).status().code(),
-              ErrorCode::kInvalidArgument);
-  }
+  EXPECT_EQ(call(ValidListing("arr").header).status().code(),
+            ErrorCode::kInvalidArgument);
 
   auto reply = call(req.header);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -680,16 +686,17 @@ TEST_P(EngineMalformedEnumerationTest, TruncatedOrInflatedGetsErrorQpStaysUp) {
   }
   EXPECT_EQ(dec.U8().value_or(1), 0u);
   EXPECT_TRUE(dec.Done());
+  // A frame for the retired slot gets the unknown-opcode reply.
+  EXPECT_EQ(client_->Call(109, req.header).status().code(),
+            ErrorCode::kNotFound);
   EXPECT_TRUE(cluster_->engine(0)->scheduler().idle());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    EnumerationOps, EngineMalformedEnumerationTest,
-    ::testing::Combine(::testing::Values(DaosOpcode::kListDkeys,
-                                         DaosOpcode::kListEntries),
-                       ::testing::Bool()),
+    Listings, EngineMalformedEnumerationTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
     [](const auto& info) {
-      return DaosOpcodeName(std::uint32_t(std::get<0>(info.param))) +
+      return std::string(std::get<0>(info.param) ? "entries" : "names") +
              (std::get<1>(info.param) ? "_threaded" : "_serial");
     });
 

@@ -65,6 +65,8 @@ TEST(LintSelftest, BannedFunctionRuleFires) {
   ExpectRuleFires("banned-function");
 }
 
+TEST(LintSelftest, RpcClientRuleFires) { ExpectRuleFires("rpc-client"); }
+
 TEST(LintSelftest, CleanFixturePasses) {
   const LintRun run = RunLint("tests/lint_fixtures/clean");
   EXPECT_EQ(run.exit_code, 0) << run.output;

@@ -74,9 +74,9 @@ TEST_P(MultiEngineTest, RoundTripAcrossEngines) {
   }
   EXPECT_EQ(populated, kEngines) << "placement failed to spread dkeys";
 
-  auto dkeys = (*client)->ListDkeys(*cont, *oid);
+  auto dkeys = (*client)->ListEntriesPage(*cont, *oid, "", "", 0);
   ASSERT_TRUE(dkeys.ok());
-  EXPECT_EQ(dkeys->size(), 48u);
+  EXPECT_EQ(dkeys->entries.size(), 48u);
 }
 
 TEST_P(MultiEngineTest, ReplicationSurvivesEngineFailure) {
@@ -98,6 +98,49 @@ TEST_P(MultiEngineTest, ReplicationSurvivesEngineFailure) {
         << "engine " << down << " down";
     EXPECT_EQ(out, data);
     ASSERT_TRUE((*client)->SetEngineDown(down, false).ok());
+  }
+}
+
+TEST_P(MultiEngineTest, ClientConnectsToADegradedPool) {
+  // Map state is routing policy, not reachability: a client joining while
+  // engine 1 is DOWN still handshakes with it, then degrades its writes
+  // onto the journal and fails its HEAD reads over.
+  auto healthy = Connect(/*replicas=*/2, "fabric://c-healthy");
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  auto cont = (*healthy)->ContainerCreate("c");  // strict: needs every engine
+  ASSERT_TRUE(cont.ok());
+  auto oid = (*healthy)->AllocOid(*cont);
+  ASSERT_TRUE(oid.ok());
+  constexpr std::uint32_t kDown = 1;
+  PoolMap* map = cluster_->pool_map();
+  ASSERT_TRUE(map->SetState(kDown, EngineState::kDown).ok());
+
+  auto client = Connect(/*replicas=*/2, "fabric://c-degraded");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ((*client)->pool_targets(), 4u);
+  std::size_t owed = 0;  // dkeys whose two-engine ring holds kDown
+  for (int i = 0; i < 24; ++i) {
+    const std::string dkey = "k" + std::to_string(i);
+    const std::uint32_t primary = PlaceEngine(*oid, dkey, kEngines);
+    if (primary == kDown || (primary + 1) % kEngines == kDown) ++owed;
+    Buffer data = MakePatternBuffer(512, std::uint64_t(i));
+    ASSERT_TRUE((*client)->Update(*cont, *oid, dkey, "a", 0, data).ok())
+        << dkey;
+  }
+  ASSERT_GT(owed, 0u);
+  EXPECT_EQ(map->journal().depth(kDown), owed);
+  for (std::uint32_t e = 0; e < kEngines; ++e) {
+    if (e != kDown) {
+      EXPECT_EQ(map->journal().depth(e), 0u) << e;
+    }
+  }
+  for (int i = 0; i < 24; ++i) {
+    Buffer out(512);
+    ASSERT_TRUE((*client)
+                    ->Fetch(*cont, *oid, "k" + std::to_string(i), "a", 0, out)
+                    .ok())
+        << i;
+    EXPECT_EQ(VerifyPattern(out, std::uint64_t(i), 0), -1) << i;
   }
 }
 
@@ -264,7 +307,9 @@ TEST_P(MultiEngineTest, ListingWithAnUnreadableEngineFailsInsteadOfDropping) {
   ASSERT_TRUE((*dfs)->Close(*fd).ok());
 
   ASSERT_TRUE((*client)->SetEngineDown(owner, true).ok());
-  EXPECT_EQ((*client)->ListDkeys(*cont, dir->oid).status().code(),
+  EXPECT_EQ((*client)->ListEntriesPage(*cont, dir->oid, "", "", 0)
+                .status()
+                .code(),
             ErrorCode::kUnavailable);
   EXPECT_FALSE((*dfs)->Unlink("/d").ok());
   ASSERT_TRUE((*client)->SetEngineDown(owner, false).ok());
@@ -293,9 +338,9 @@ TEST_P(MultiEngineTest, ReplicatedListingIsCompleteWithAnEngineDown) {
   }
   for (std::uint32_t down = 0; down < kEngines; ++down) {
     ASSERT_TRUE((*client)->SetEngineDown(down, true).ok());
-    auto dkeys = (*client)->ListDkeys(*cont, *oid);
+    auto dkeys = (*client)->ListEntriesPage(*cont, *oid, "", "", 0);
     ASSERT_TRUE(dkeys.ok()) << dkeys.status().ToString();
-    EXPECT_EQ(dkeys->size(), 48u) << "engine " << down << " down";
+    EXPECT_EQ(dkeys->entries.size(), 48u) << "engine " << down << " down";
     ASSERT_TRUE((*client)->SetEngineDown(down, false).ok());
   }
 }

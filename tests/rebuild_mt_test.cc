@@ -146,8 +146,8 @@ TEST_F(RebuildMtTest, RebuildConvergesUnderConcurrentWrites) {
          writer_ok.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
-  RebuildManager::Options ropts;
-  ropts.address = "fabric://rebuild-mt-mgr";
+  DaosClient::ConnectOptions ropts;
+  ropts.client_address = "fabric://rebuild-mt-mgr";
   ropts.replicas = kReplicas;
   auto mgr = cluster_->NewRebuildManager(ropts);
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();

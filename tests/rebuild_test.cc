@@ -45,8 +45,8 @@ class RebuildTest : public ::testing::Test {
     ASSERT_TRUE(client.ok()) << client.status().ToString();
     client_ = std::move(*client);
 
-    RebuildManager::Options ropts;
-    ropts.address = "fabric://rebuild-mgr";
+    DaosClient::ConnectOptions ropts;
+    ropts.client_address = "fabric://rebuild-mgr";
     ropts.replicas = kReplicas;
     auto mgr = cluster_->NewRebuildManager(ropts);
     ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
