@@ -29,6 +29,10 @@
 #                    src/daos/client.cc (the one DAOS engine-client stack)
 #                    and src/spdk/nvmf.cc (the NVMe-oF initiator). Every
 #                    other engine call goes through DaosClient.
+#   spin-wait        `this_thread::yield` anywhere but the one RpcClient
+#                    wait loop (src/rpc/data_rpc.cc, exactly once). Every
+#                    client wait runs through that loop, so a change to
+#                    how clients wait is made in one place.
 #
 # When clang-tidy AND a compile_commands.json exist, the committed
 # .clang-tidy profile also runs over the scanned sources (advisory depth
@@ -79,7 +83,7 @@ mapfile -t HEADERS < <(find "$ROOT" -name '*.h' -type f | sort)
 
 # ---------------------------------------------------------- adhoc-stats
 # Grandfathered: pre-telemetry-tree structs that PR 7 rebuilt as VIEWS
-# over tree-registered objects (accessors read the same Counter/Gauge the
+# over tree-registered objects (accessors read the same Counter the
 # tree snapshots). New stat structs do not get added here — they register
 # in the tree instead.
 ADHOC_ALLOW='src/rpc/data_rpc\.h|src/daos/vos\.h'
@@ -151,6 +155,22 @@ for f in "${SOURCES[@]}"; do
   done < <(grep -nE \
       '(make_unique|make_shared)<(rpc::)?RpcClient>|new (rpc::)?RpcClient\b|\bRpcClient [A-Za-z_][A-Za-z0-9_]*[({]' \
       "$f" || true)
+done
+
+# ------------------------------------------------------------ spin-wait
+# The allowed file may hold one yield; past that, every site is reported
+# (which of them is "the" loop is for the fix to decide).
+SPIN_ALLOW='src/rpc/data_rpc.cc'
+for f in "${SOURCES[@]}"; do
+  mapfile -t sites < <(grep -nE '\bthis_thread::yield\b' "$f" | cut -d: -f1 \
+      || true)
+  allowed=0
+  [[ "$f" == "$SPIN_ALLOW" ]] && allowed=1
+  (( ${#sites[@]} > allowed )) || continue
+  for line in "${sites[@]}"; do
+    fail spin-wait "$f:$line" \
+        "yield spin beyond the one in RpcClient::WaitFor; wait through it"
+  done
 done
 
 # ----------------------------------------------------------- clang-tidy

@@ -79,8 +79,9 @@ class ResyncJournal {
   std::size_t depth(std::uint32_t engine) const;
   std::size_t total_depth() const;
 
-  /// Entries ever recorded (dedup hits included count once) — the
-  /// telemetry tree links this counter.
+  /// Entries ever recorded (dedup hits included count once; an entry a
+  /// failed rebuild pass puts back counts again) — the telemetry tree
+  /// links this counter.
   std::uint64_t recorded() const { return recorded_.value(); }
   const telemetry::Counter& recorded_counter() const { return recorded_; }
 

@@ -66,8 +66,15 @@ Status RebuildManager::Resilver(std::uint32_t engine,
 Status RebuildManager::DrainPass(std::uint32_t engine, bool* was_empty) {
   std::vector<ResyncEntry> drained = map_->journal().Drain(engine);
   *was_empty = drained.empty();
-  for (const ResyncEntry& entry : drained) {
-    ROS2_RETURN_IF_ERROR(Resilver(engine, entry));
+  for (auto it = drained.begin(); it != drained.end(); ++it) {
+    if (Status s = Resilver(engine, *it); !s.ok()) {
+      // Journal the failed entry and every later one again, so the next
+      // pass retries them instead of reporting a resync it never did.
+      for (; it != drained.end(); ++it) {
+        map_->journal().Record(engine, std::move(*it));
+      }
+      return s;
+    }
     stats_[engine]->journal_replayed.Add(1);
     stats_[engine]->done.fetch_add(1, std::memory_order_relaxed);
   }

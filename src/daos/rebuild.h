@@ -76,7 +76,9 @@ class RebuildManager {
 
   /// Drains whatever the resync journal currently holds for `engine`
   /// (which may be UP) and re-silvers those dkeys. The post-rebuild
-  /// straggler sweep — cheap when the journal is empty.
+  /// straggler sweep — cheap when the journal is empty. A dkey that
+  /// fails to copy (say, no UP source) fails the call and stays
+  /// journaled, with every entry after it, for the next Resync.
   Status Resync(std::uint32_t engine);
 
   // Per-engine rebuild observables (cumulative across rebuilds).

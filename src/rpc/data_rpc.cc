@@ -314,30 +314,12 @@ Result<RpcClient::CallId> RpcClient::CallAsync(
   if (qp_ == nullptr || !qp_->connected()) {
     return Status(Unavailable("rpc client not connected"));
   }
-  if (in_flight_ >= max_in_flight_) {
-    // Backpressure: with a threaded server, replies arrive whenever its
-    // progress thread drains completions, so a full window is normally
-    // transient. Pump until a slot frees; fail only after a full stall
-    // window with ZERO completions (deadline resets on any progress).
-    window_waits_.Add(1);
-    const double timeout_ms = options.window_timeout_ms >= 0.0
-                                  ? options.window_timeout_ms
-                                  : stall_timeout_ms_;
-    auto deadline = StallDeadline(timeout_ms);
-    Poll();
-    while (in_flight_ >= max_in_flight_) {
-      if (progress_) progress_();
-      if (Poll() > 0) {
-        deadline = StallDeadline(timeout_ms);
-        continue;
-      }
-      if (in_flight_ < max_in_flight_) break;
-      if (std::chrono::steady_clock::now() >= deadline) {
-        stall_events_.Add(1);
-        return Status(ResourceExhausted("rpc in-flight window full"));
-      }
-      std::this_thread::yield();
-    }
+  // Backpressure: with a threaded server, replies arrive whenever its
+  // progress thread drains completions, so a full window is normally
+  // transient. Wait for a slot; a stall abandons nothing.
+  if (in_flight_ >= max_in_flight_ &&
+      !WaitFor([this] { return in_flight_ < max_in_flight_; })) {
+    return Status(ResourceExhausted("rpc in-flight window full"));
   }
   const bool tcp = qp_->transport() == net::Transport::kTcp;
 
@@ -395,10 +377,6 @@ Result<RpcClient::CallId> RpcClient::CallAsync(
   call.recv_bulk = options.recv_bulk;
   pending_.push_back(std::move(call));
   ++in_flight_;
-  calls_issued_.Add(1);
-  // Window occupancy at issue time, in calls (>= 1 so the histogram's
-  // positive-value floor never clamps it).
-  occupancy_.Record(double(in_flight_));
   return id;
 }
 
@@ -537,55 +515,48 @@ Result<RpcReply> RpcClient::Take(CallId id) {
   return result;
 }
 
-Result<RpcReply> RpcClient::Await(CallId id) {
-  PendingCall* call = FindPending(id);
-  if (call == nullptr) return Status(NotFound("unknown call handle"));
+bool RpcClient::WaitFor(FunctionRef<bool()> done) {
   auto deadline = StallDeadline(stall_timeout_ms_);
-  while (!call->done) {
-    std::size_t completed = Poll();
-    call = FindPending(id);  // pumps may reshuffle the window table
-    if (call == nullptr || call->done) break;
+  while (!done()) {
+    const std::size_t completed = Poll();
+    if (done()) return true;
     if (progress_) progress_();
-    completed += Poll();
-    call = FindPending(id);
-    if (call == nullptr || call->done) break;
-    if (completed > 0) {
+    if (completed + Poll() > 0) {
       deadline = StallDeadline(stall_timeout_ms_);  // server is live
-      continue;
+    } else if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    } else {
+      std::this_thread::yield();
     }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      // Zero completions for a full stall window: the server will never
-      // answer (dead hook, swallowed frame). Abandon the call — releasing
-      // its leases — exactly where the synchronous path used to fail.
-      stall_events_.Add(1);
-      ErasePending(id);
-      --in_flight_;
-      return Status(Unavailable("no reply from server"));
-    }
-    std::this_thread::yield();
+  }
+  return true;
+}
+
+Result<RpcReply> RpcClient::Await(CallId id) {
+  if (FindPending(id) == nullptr) {
+    return Status(NotFound("unknown call handle"));
+  }
+  // Look the call up each round: the window table may reshuffle.
+  if (!WaitFor([&] {
+        const PendingCall* call = FindPending(id);
+        return call == nullptr || call->done;
+      })) {
+    // Zero completions for a full stall window: the server will never
+    // answer (dead hook, swallowed frame). Abandon this call alone,
+    // releasing its leases.
+    ErasePending(id);
+    --in_flight_;
+    return Status(Unavailable("no reply from server"));
   }
   return Take(id);
 }
 
 Status RpcClient::Flush() {
-  auto deadline = StallDeadline(stall_timeout_ms_);
-  while (in_flight_ > 0) {
-    std::size_t completed = Poll();
-    if (in_flight_ == 0) break;
-    if (progress_) progress_();
-    completed += Poll();
-    if (completed > 0) {
-      deadline = StallDeadline(stall_timeout_ms_);
-      continue;
-    }
-    if (in_flight_ > 0 &&
-        std::chrono::steady_clock::now() >= deadline) {
-      stall_events_.Add(1);
-      in_flight_ -= std::size_t(std::erase_if(
-          pending_, [](const PendingCall& call) { return !call.done; }));
-      return Status(Unavailable("no reply from server"));
-    }
-    std::this_thread::yield();
+  if (!WaitFor([this] { return in_flight_ == 0; })) {
+    // Completed-not-taken results stay available to Take.
+    in_flight_ -= std::size_t(std::erase_if(
+        pending_, [](const PendingCall& call) { return !call.done; }));
+    return Status(Unavailable("no reply from server"));
   }
   return Status::Ok();
 }

@@ -21,8 +21,9 @@
 //    order.
 //  - CLIENT: CallAsync() returns a completion handle and keeps up to
 //    max_in_flight() calls outstanding; Poll() drains arrived replies,
-//    Flush() pumps until everything pending completed. The synchronous
-//    Call() is CallAsync + Await — same contract as before.
+//    Flush() pumps until everything pending completed. The full-window
+//    wait, Await and Flush share one pump-and-deadline loop. The
+//    synchronous Call() is CallAsync + Await — same contract as before.
 //
 // The in-process client pumps the server synchronously through a hook
 // installed at connection time (stands in for network + progress thread).
@@ -38,6 +39,7 @@
 
 #include "common/bytes.h"
 #include "common/fault.h"
+#include "common/function_ref.h"
 #include "common/status.h"
 #include "net/fabric.h"
 #include "net/mr_cache.h"
@@ -265,10 +267,6 @@ class RpcServer {
 struct CallOptions {
   std::span<const std::byte> send_bulk;  ///< client -> server payload
   std::span<std::byte> recv_bulk;        ///< server -> client window
-  /// Per-call override for how long CallAsync may block pumping progress
-  /// when the in-flight window is full. Negative = use the client's
-  /// stall_timeout_ms(); 0 = fail after one no-progress pump round.
-  double window_timeout_ms = -1.0;
   /// Correlation tag carried in the wire header and echoed in the reply;
   /// the engine keys its per-request timing breakdown (TraceRecord) by it.
   /// 0 = derive from the call's sequence tag.
@@ -312,8 +310,7 @@ class RpcClient {
 
   /// Issues the request and returns immediately with a completion handle.
   /// If the in-flight window is full, blocks pumping progress until a slot
-  /// frees or the stall deadline passes (options.window_timeout_ms, else
-  /// stall_timeout_ms()); RESOURCE_EXHAUSTED only on a genuine stall. With
+  /// frees; RESOURCE_EXHAUSTED (nothing abandoned) only on a stall. With
   /// a threaded server the replies arrive from the progress thread, so a
   /// momentarily-full window is normal backpressure, not an error. The
   /// caller's bulk buffers must stay alive until the call completes or is
@@ -336,16 +333,14 @@ class RpcClient {
   /// UNAVAILABLE if still pending — Poll/Flush first).
   Result<RpcReply> Take(CallId id);
 
-  /// Pumps progress until `id` completes, then takes its result. Keeps
-  /// pumping while replies keep arriving; only after stall_timeout_ms()
-  /// of zero completions is the call abandoned (leases released) and
-  /// UNAVAILABLE returned. A timeout of 0 keeps the old semantics: one
-  /// no-progress round fails.
+  /// Pumps progress until `id` completes, then takes its result. On a
+  /// stall only this call is abandoned (leases released) and UNAVAILABLE
+  /// returned.
   Result<RpcReply> Await(CallId id);
 
   /// Pumps progress until every pending call completed (results remain
-  /// available via Take). Abandons still-pending calls and returns
-  /// UNAVAILABLE after stall_timeout_ms() with zero completions.
+  /// available via Take). On a stall every call not yet completed is
+  /// abandoned and UNAVAILABLE returned.
   Status Flush();
 
   /// Max calls outstanding before CallAsync applies backpressure.
@@ -356,31 +351,13 @@ class RpcClient {
   /// Replies whose sequence tag matched no pending call (dropped).
   std::uint64_t unmatched_replies() const { return unmatched_replies_; }
 
-  /// Client-side telemetry: issued calls, window-full backpressure entries,
-  /// stall-deadline abandons, and the in-flight occupancy distribution
-  /// (histogram value axis is calls outstanding at issue time, not
-  /// seconds). The counters are the linkable single source of truth.
-  std::uint64_t calls_issued() const { return calls_issued_.value(); }
-  std::uint64_t window_waits() const { return window_waits_.value(); }
-  std::uint64_t stall_events() const { return stall_events_.value(); }
-  const telemetry::Counter& calls_issued_counter() const {
-    return calls_issued_;
-  }
-  const telemetry::Counter& window_waits_counter() const {
-    return window_waits_;
-  }
-  const telemetry::Counter& stall_events_counter() const {
-    return stall_events_;
-  }
-  const telemetry::Histogram& window_occupancy() const { return occupancy_; }
-
   void set_mr_pooling(bool pooled) { mr_pooling_ = pooled; }
   bool mr_pooling() const { return mr_pooling_; }
 
-  /// How long pump loops (CallAsync window-full, Await, Flush) tolerate
-  /// zero progress before declaring a stall. The deadline RESETS whenever
-  /// a reply completes, so a slow-but-live server never trips it. 0 =
-  /// fail after one no-progress round (the pre-threading behavior).
+  /// How long a wait (CallAsync window-full, Await, Flush) tolerates zero
+  /// progress before declaring a stall. The deadline RESETS whenever a
+  /// reply completes, so a slow-but-live server never trips it. 0 = fail
+  /// after one no-progress round (the pre-threading behavior).
   void set_stall_timeout_ms(double ms) {
     stall_timeout_ms_ = ms < 0.0 ? 0.0 : ms;
   }
@@ -398,6 +375,11 @@ class RpcClient {
     Result<RpcReply> result = Status(Internal("call still in flight"));
   };
 
+  /// The one wait loop: each round polls, pumps progress_ and polls
+  /// again until `done()` holds. True once it does; false after
+  /// stall_timeout_ms() with zero completions. The caller picks the
+  /// stall action.
+  bool WaitFor(FunctionRef<bool()> done);
   Result<net::MrLease> AcquireMr(std::span<std::byte> region,
                                  std::uint32_t access);
   /// Parses one reply frame and completes the matching pending call.
@@ -416,10 +398,6 @@ class RpcClient {
   std::uint64_t next_seq_ = 1;
   std::size_t in_flight_ = 0;
   std::uint64_t unmatched_replies_ = 0;
-  telemetry::Counter calls_issued_{1};
-  telemetry::Counter window_waits_{1};
-  telemetry::Counter stall_events_{1};
-  telemetry::Histogram occupancy_{1};
   // Flat window table, not a map: the in-flight window bounds the scan,
   // linear find beats per-call node allocations on the hot path, and the
   // vector's capacity is reused across calls.

@@ -119,21 +119,6 @@ Counter* Telemetry::RegisterCounter(const std::string& path,
   return out;
 }
 
-Gauge* Telemetry::RegisterGauge(const std::string& path) {
-  common::MutexLock lk(mu_);
-  auto it = nodes_.find(path);
-  if (it != nodes_.end()) {
-    if (it->second.kind != MetricKind::kGauge) return nullptr;
-    return it->second.gauge.get();
-  }
-  Node node;
-  node.kind = MetricKind::kGauge;
-  node.gauge = std::make_unique<Gauge>();
-  Gauge* out = node.gauge.get();
-  nodes_.emplace(path, std::move(node));
-  return out;
-}
-
 Timestamp* Telemetry::RegisterTimestamp(const std::string& path) {
   common::MutexLock lk(mu_);
   auto it = nodes_.find(path);
@@ -149,23 +134,6 @@ Timestamp* Telemetry::RegisterTimestamp(const std::string& path) {
   return out;
 }
 
-Histogram* Telemetry::RegisterHistogram(const std::string& path,
-                                        std::uint32_t shards) {
-  common::MutexLock lk(mu_);
-  auto it = nodes_.find(path);
-  if (it != nodes_.end()) {
-    if (it->second.kind != MetricKind::kHistogram) return nullptr;
-    return it->second.histogram.get();
-  }
-  Node node;
-  node.kind = MetricKind::kHistogram;
-  node.histogram =
-      std::make_unique<Histogram>(shards == 0 ? default_shards_ : shards);
-  Histogram* out = node.histogram.get();
-  nodes_.emplace(path, std::move(node));
-  return out;
-}
-
 bool Telemetry::LinkCounter(const std::string& path, const Counter* counter) {
   if (counter == nullptr) return false;
   common::MutexLock lk(mu_);
@@ -177,21 +145,6 @@ bool Telemetry::LinkCounter(const std::string& path, const Counter* counter) {
   Node node;
   node.kind = MetricKind::kCounter;
   node.linked_counter = counter;
-  nodes_.emplace(path, std::move(node));
-  return true;
-}
-
-bool Telemetry::LinkGauge(const std::string& path, const Gauge* gauge) {
-  if (gauge == nullptr) return false;
-  common::MutexLock lk(mu_);
-  auto it = nodes_.find(path);
-  if (it != nodes_.end()) {
-    return it->second.kind == MetricKind::kGauge &&
-           it->second.linked_gauge == gauge;
-  }
-  Node node;
-  node.kind = MetricKind::kGauge;
-  node.linked_gauge = gauge;
   nodes_.emplace(path, std::move(node));
   return true;
 }
@@ -237,24 +190,6 @@ Counter* Telemetry::FindCounter(const std::string& path) const {
     return nullptr;
   }
   return it->second.counter.get();
-}
-
-Gauge* Telemetry::FindGauge(const std::string& path) const {
-  common::MutexLock lk(mu_);
-  auto it = nodes_.find(path);
-  if (it == nodes_.end() || it->second.kind != MetricKind::kGauge) {
-    return nullptr;
-  }
-  return it->second.gauge.get();
-}
-
-Histogram* Telemetry::FindHistogram(const std::string& path) const {
-  common::MutexLock lk(mu_);
-  auto it = nodes_.find(path);
-  if (it == nodes_.end() || it->second.kind != MetricKind::kHistogram) {
-    return nullptr;
-  }
-  return it->second.histogram.get();
 }
 
 std::size_t Telemetry::size() const {

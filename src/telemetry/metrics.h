@@ -11,9 +11,11 @@
 //
 // The tree supports two ownership modes so existing stat structs stay the
 // single source of truth instead of being double-counted:
-//   - Register*: the tree owns the metric and hands back a stable pointer.
-//   - Link* / RegisterCallback: the tree holds a read-only view over a
-//     metric (or accessor) owned elsewhere; snapshots read through it.
+//   - RegisterCounter / RegisterTimestamp: the tree owns the metric and
+//     hands back a stable pointer.
+//   - LinkCounter / LinkHistogram / RegisterCallback: the tree holds a
+//     read-only view over a metric (or accessor) owned elsewhere;
+//     snapshots read through it. A callback is the one gauge mechanism.
 #pragma once
 
 #include <atomic>
@@ -70,22 +72,6 @@ class Counter {
     std::atomic<std::uint64_t> v{0};
   };
   std::vector<Shard> shards_;
-};
-
-/// Point-in-time signed level (queue depth, window occupancy).
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void Add(std::int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  void Sub(std::int64_t n = 1) { v_.fetch_sub(n, std::memory_order_relaxed); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
 };
 
 /// Wall-clock instant of a named event (engine start, last snapshot).
@@ -227,27 +213,21 @@ class Telemetry {
   Telemetry& operator=(const Telemetry&) = delete;
 
   Counter* RegisterCounter(const std::string& path, std::uint32_t shards = 0);
-  Gauge* RegisterGauge(const std::string& path);
   Timestamp* RegisterTimestamp(const std::string& path);
-  Histogram* RegisterHistogram(const std::string& path,
-                               std::uint32_t shards = 0);
 
   /// Views over metrics owned elsewhere (single source of truth stays with
   /// the owner; the snapshot reads through the pointer, which must outlive
   /// this tree or be unlinked by destroying the tree first).
   bool LinkCounter(const std::string& path, const Counter* counter);
-  bool LinkGauge(const std::string& path, const Gauge* gauge);
   bool LinkHistogram(const std::string& path, const Histogram* histogram);
   /// Gauge-kind metric computed on demand at snapshot time.
   bool RegisterCallback(const std::string& path,
                         std::function<std::int64_t()> fn);
 
   bool Contains(const std::string& path) const;
-  /// Owned metrics only (links and callbacks return nullptr): the lookup
-  /// hands out a mutable pointer, which a view does not grant.
+  /// Owned counters only (links return nullptr): the lookup hands out a
+  /// mutable pointer, which a view does not grant.
   Counter* FindCounter(const std::string& path) const;
-  Gauge* FindGauge(const std::string& path) const;
-  Histogram* FindHistogram(const std::string& path) const;
 
   std::size_t size() const;
   std::uint32_t default_shards() const { return default_shards_; }
@@ -260,11 +240,8 @@ class Telemetry {
   struct Node {
     MetricKind kind = MetricKind::kCounter;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Timestamp> timestamp;
-    std::unique_ptr<Histogram> histogram;
     const Counter* linked_counter = nullptr;
-    const Gauge* linked_gauge = nullptr;
     const Histogram* linked_histogram = nullptr;
     std::function<std::int64_t()> callback;
   };

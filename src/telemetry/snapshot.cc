@@ -314,20 +314,13 @@ TelemetrySnapshot Telemetry::Snapshot(const std::string& prefix) const {
                                : node.linked_counter->value();
         break;
       case MetricKind::kGauge:
-        if (node.callback) {
-          m.gauge = node.callback();
-        } else {
-          m.gauge =
-              node.gauge ? node.gauge->value() : node.linked_gauge->value();
-        }
+        m.gauge = node.callback();
         break;
       case MetricKind::kTimestamp:
         m.value = node.timestamp->value_ns();
         break;
       case MetricKind::kHistogram: {
-        const LatencyHistogram folded = node.histogram
-                                            ? node.histogram->Fold()
-                                            : node.linked_histogram->Fold();
+        const LatencyHistogram folded = node.linked_histogram->Fold();
         m.count = folded.count();
         m.sum = folded.sum();
         m.min = folded.min();

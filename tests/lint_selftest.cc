@@ -67,6 +67,8 @@ TEST(LintSelftest, BannedFunctionRuleFires) {
 
 TEST(LintSelftest, RpcClientRuleFires) { ExpectRuleFires("rpc-client"); }
 
+TEST(LintSelftest, SpinWaitRuleFires) { ExpectRuleFires("spin-wait"); }
+
 TEST(LintSelftest, CleanFixturePasses) {
   const LintRun run = RunLint("tests/lint_fixtures/clean");
   EXPECT_EQ(run.exit_code, 0) << run.output;

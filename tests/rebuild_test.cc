@@ -229,6 +229,37 @@ TEST_F(RebuildTest, RebuildRejectsUpEngineAndResyncIsIdempotent) {
   EXPECT_EQ(mgr_->journal_replayed(kVictim), 0u);
 }
 
+TEST_F(RebuildTest, FailedResyncKeepsTheEntryJournaled) {
+  // A dkey on ring {0, 1} written while engine 1 is DOWN is owed to
+  // engine 1. A Resync with its only source (engine 0) DOWN must fail and
+  // leave the entry journaled, so the Resync after engine 0 returns
+  // copies it.
+  auto cont = client_->ContainerCreate("resync-retry");
+  ASSERT_TRUE(cont.ok());
+  auto oid = client_->AllocOid(*cont);
+  ASSERT_TRUE(oid.ok());
+  std::string dkey;
+  for (int i = 0; dkey.empty(); ++i) {
+    const std::string candidate = "k" + std::to_string(i);
+    if (PlaceEngine(*oid, candidate, kEngines) == 0) dkey = candidate;
+  }
+  ASSERT_TRUE(map_->SetState(kVictim, EngineState::kDown).ok());
+  Buffer data = MakePatternBuffer(1024, 77);
+  ASSERT_TRUE(client_->Update(*cont, *oid, dkey, "a", 0, data).ok());
+  ASSERT_EQ(map_->journal().depth(kVictim), 1u);
+
+  ASSERT_TRUE(map_->SetState(kVictim, EngineState::kUp).ok());
+  ASSERT_TRUE(map_->SetState(0, EngineState::kDown).ok());
+  EXPECT_EQ(mgr_->Resync(kVictim).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(map_->journal().depth(kVictim), 1u);
+
+  ASSERT_TRUE(map_->SetState(0, EngineState::kUp).ok());
+  ASSERT_TRUE(mgr_->Resync(kVictim).ok());
+  EXPECT_EQ(map_->journal().depth(kVictim), 0u);
+  EXPECT_EQ(mgr_->journal_replayed(kVictim), 1u);
+  VerifyAlone(*cont, *oid, kVictim, {{dkey, data}});
+}
+
 /// The client call a degraded-write test goes through. Update and a
 /// one-op UpdateBatch share one issue/await core, so every degraded rule
 /// must hold on both.

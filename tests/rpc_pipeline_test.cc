@@ -150,11 +150,8 @@ TEST_P(RpcPipelineTest, InFlightWindowAppliesBackpressure) {
   auto b = client_->CallAsync(2, kNoHeader);
   ASSERT_TRUE(a.ok() && b.ok());
   // Window full and the server only parks: the third call pumps, frees
-  // nothing, and reports exhaustion instead of deadlocking. The per-call
-  // override pins the deadline regardless of the client-wide setting.
-  CallOptions fail_fast;
-  fail_fast.window_timeout_ms = 0.0;
-  EXPECT_EQ(client_->CallAsync(2, kNoHeader, fail_fast).status().code(),
+  // nothing, and reports exhaustion instead of deadlocking.
+  EXPECT_EQ(client_->CallAsync(2, kNoHeader).status().code(),
             ErrorCode::kResourceExhausted);
   // Completing one parked context frees a slot.
   ASSERT_EQ(parked.size(), 2u);  // the failed CallAsync pumped decode
@@ -368,6 +365,102 @@ TEST_P(RpcPipelineTest, StallDeadlineExpiresOnlyWithoutProgress) {
   parked.clear();
   ASSERT_TRUE(client_->Flush().ok());
   EXPECT_EQ(client_ep_->mr_cache().leased(), 0u);
+}
+
+/// Issues one call on opcode 13 with a send and a receive window (two MR
+/// leases on RDMA, none on TCP); the call's buffers live in `bufs`.
+RpcClient::CallId IssueWithBulk(RpcClient& client, std::deque<Buffer>& bufs,
+                                std::uint64_t seed) {
+  bufs.push_back(MakePatternBuffer(256, seed));
+  const Buffer& send = bufs.back();
+  bufs.emplace_back(256);
+  CallOptions options;
+  options.send_bulk = send;
+  options.recv_bulk = bufs.back();
+  auto id = client.CallAsync(13, kNoHeader, options);
+  EXPECT_TRUE(id.ok()) << id.status().ToString();
+  return id.value_or(0);
+}
+
+TEST_P(RpcPipelineTest, StalledAwaitAbandonsOnlyItsOwnCall) {
+  // Three calls park on the server and only the first is answered. A
+  // stalled Await on the second abandons that call alone: the answered
+  // result stays Take-able and the third call stays in flight with its
+  // leases.
+  std::vector<RpcContextPtr> parked;
+  server_.RegisterAsync(13, [&](RpcContextPtr ctx) {
+    parked.push_back(std::move(ctx));
+    return HandlerVerdict::kDeferred;
+  });
+  client_->set_stall_timeout_ms(0.0);
+  const std::uint32_t per_call = tcp() ? 0 : 2;
+  std::deque<Buffer> bufs;
+  const RpcClient::CallId a = IssueWithBulk(*client_, bufs, 1);
+  const RpcClient::CallId b = IssueWithBulk(*client_, bufs, 2);
+  const RpcClient::CallId c = IssueWithBulk(*client_, bufs, 3);
+  ASSERT_TRUE(server_.Progress(qp_->peer()).ok());
+  ASSERT_EQ(parked.size(), 3u);
+  Encoder reply;
+  reply.U32(41);
+  ASSERT_TRUE(parked[0]->Complete(reply.Take()).ok());
+  EXPECT_EQ(client_->Poll(), 1u);
+  ASSERT_TRUE(client_->Done(a));
+  EXPECT_EQ(client_->in_flight(), 2u);
+  EXPECT_EQ(client_ep_->mr_cache().leased(), 2 * per_call);
+
+  EXPECT_EQ(client_->Await(b).status().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(client_->in_flight(), 1u);
+  EXPECT_EQ(client_ep_->mr_cache().leased(), per_call);
+  EXPECT_EQ(client_->Take(b).status().code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(client_->Done(c));
+  auto taken = client_->Take(a);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  Decoder dec(taken->header);
+  EXPECT_EQ(dec.U32().value_or(0), 41u);
+
+  // The surviving call still completes normally.
+  ASSERT_TRUE(parked[2]->Complete(Buffer{}).ok());
+  EXPECT_TRUE(client_->Await(c).ok());
+  EXPECT_EQ(client_->in_flight(), 0u);
+  EXPECT_EQ(client_ep_->mr_cache().leased(), 0u);
+  // b's context answers late: its reply matches nothing.
+  ASSERT_TRUE(parked[1]->Complete(Buffer{}).ok());
+  EXPECT_EQ(client_->Poll(), 0u);
+  EXPECT_EQ(client_->unmatched_replies(), 1u);
+}
+
+TEST_P(RpcPipelineTest, StalledFlushAbandonsEveryPendingCallButKeepsResults) {
+  std::vector<RpcContextPtr> parked;
+  server_.RegisterAsync(13, [&](RpcContextPtr ctx) {
+    parked.push_back(std::move(ctx));
+    return HandlerVerdict::kDeferred;
+  });
+  client_->set_stall_timeout_ms(0.0);
+  std::deque<Buffer> bufs;
+  const RpcClient::CallId a = IssueWithBulk(*client_, bufs, 1);
+  const RpcClient::CallId b = IssueWithBulk(*client_, bufs, 2);
+  const RpcClient::CallId c = IssueWithBulk(*client_, bufs, 3);
+  ASSERT_TRUE(server_.Progress(qp_->peer()).ok());
+  ASSERT_EQ(parked.size(), 3u);
+  ASSERT_TRUE(parked[0]->bulk().Push(MakePatternBuffer(256, 9)).ok());
+  ASSERT_TRUE(parked[0]->Complete(Buffer{}).ok());
+
+  // Flush completes a on its way to the stall, then abandons b and c.
+  EXPECT_EQ(client_->Flush().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(client_->in_flight(), 0u);
+  EXPECT_EQ(client_ep_->mr_cache().leased(), 0u);
+  EXPECT_EQ(client_->Take(b).status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(client_->Take(c).status().code(), ErrorCode::kNotFound);
+  ASSERT_TRUE(client_->Done(a));
+  auto taken = client_->Take(a);
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(taken->bulk_received, 256u);
+  EXPECT_EQ(VerifyPattern(bufs[1], 9, 0), -1);
+  for (std::size_t i = 1; i < parked.size(); ++i) {
+    ASSERT_TRUE(parked[i]->Complete(Buffer{}).ok());
+  }
+  EXPECT_EQ(client_->Poll(), 0u);
+  EXPECT_EQ(client_->unmatched_replies(), 2u);
 }
 
 TEST_P(RpcPipelineTest, TraceIdRoundTripsThroughTheWire) {

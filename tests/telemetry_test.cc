@@ -1,5 +1,5 @@
-// Telemetry subsystem: metric primitives (sharded counters, gauges,
-// timestamps, sharded histograms, trace ring), the hierarchical tree
+// Telemetry subsystem: metric primitives (sharded counters, timestamps,
+// sharded histograms, trace ring), the hierarchical tree
 // (registration, links, callbacks, snapshot ordering/prefix), snapshot
 // codecs (wire + JSON), concurrency (racing writers vs snapshots — the
 // TSan stage runs this suite), and the engine end to end: the
@@ -47,16 +47,6 @@ TEST(CounterTest, OutOfRangeShardFallsBackToShardZero) {
   EXPECT_EQ(c.value(), 5u);
 }
 
-TEST(GaugeTest, SetAddSub) {
-  Gauge g;
-  g.Set(10);
-  g.Add(5);
-  g.Sub(7);
-  EXPECT_EQ(g.value(), 8);
-  g.Sub(20);
-  EXPECT_EQ(g.value(), -12);  // signed: depth accounting may transiently dip
-}
-
 TEST(TimestampTest, StampsWallClock) {
   Timestamp ts;
   EXPECT_EQ(ts.value_ns(), 0u);
@@ -82,13 +72,15 @@ TEST(TraceRingTest, WrapsKeepingNewestOldestFirst) {
 }
 
 TEST(TelemetryTreeTest, RegistrationIsIdempotentAndKindClashesFail) {
+  Histogram h;
   Telemetry tree(/*default_shards=*/3);
   Counter* c = tree.RegisterCounter("a/b/c");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->shards(), 3u);  // default_shards applied
   EXPECT_EQ(tree.RegisterCounter("a/b/c"), c);  // idempotent, same object
-  EXPECT_EQ(tree.RegisterGauge("a/b/c"), nullptr);  // kind clash
-  EXPECT_EQ(tree.RegisterHistogram("a/b/c"), nullptr);
+  EXPECT_FALSE(tree.RegisterCallback("a/b/c",  // kind clash
+                                     [] { return std::int64_t(0); }));
+  EXPECT_FALSE(tree.LinkHistogram("a/b/c", &h));
   EXPECT_TRUE(tree.Contains("a/b/c"));
   EXPECT_FALSE(tree.Contains("a/b"));
   EXPECT_EQ(tree.FindCounter("a/b/c"), c);
@@ -156,7 +148,8 @@ TEST(TelemetryTreeTest, SnapshotIsPathOrderedAndPrefixFiltered) {
   tree.RegisterCounter("a/first")->Add(2);
   tree.RegisterCounter("m/mid/one")->Add(3);
   tree.RegisterCounter("m/mid/two")->Add(4);
-  tree.RegisterGauge("m/gauge")->Set(-5);
+  ASSERT_TRUE(
+      tree.RegisterCallback("m/gauge", [] { return std::int64_t(-5); }));
 
   TelemetrySnapshot all = tree.Snapshot();
   ASSERT_EQ(all.metrics.size(), 5u);
@@ -174,14 +167,15 @@ TEST(TelemetryTreeTest, SnapshotIsPathOrderedAndPrefixFiltered) {
 }
 
 TelemetrySnapshot MakeRichSnapshot() {
+  Histogram h(2);
   Telemetry tree;
   tree.RegisterCounter("c/requests")->Add(123456789);
-  tree.RegisterGauge("g/depth")->Set(-42);
+  tree.RegisterCallback("g/depth", [] { return std::int64_t(-42); });
   tree.RegisterTimestamp("t/start")->StampAt(1700000000123456789ull);
-  Histogram* h = tree.RegisterHistogram("h/latency", 2);
-  h->Record(10 * kUsec, 0);
-  h->Record(250 * kUsec, 1);
-  h->Record(2 * kMsec, 0);
+  tree.LinkHistogram("h/latency", &h);
+  h.Record(10 * kUsec, 0);
+  h.Record(250 * kUsec, 1);
+  h.Record(2 * kMsec, 0);
   TelemetrySnapshot snap = tree.Snapshot();
   snap.traces.push_back(TraceRecord{0xABCDEF, 205, 1000, 2000, 3500});
   snap.traces.push_back(TraceRecord{0x123456, 104, 0, 900, 950});
@@ -257,24 +251,25 @@ TEST(SnapshotCodecTest, RenderTableListsEveryMetric) {
 TEST(TelemetryConcurrencyTest, RacingIncrementsAllLand) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
+  Histogram latency(kThreads);
   Telemetry tree(kThreads);
   Counter* sharded = tree.RegisterCounter("race/sharded");
   Counter* contended = tree.RegisterCounter("race/contended", 1);
-  Histogram* hist = tree.RegisterHistogram("race/latency", kThreads);
+  ASSERT_TRUE(tree.LinkHistogram("race/latency", &latency));
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         sharded->Add(1, std::uint32_t(t));     // own cache line
         contended->Add(1, 0);                  // all threads, one shard
-        hist->Record(kUsec * double(i + 1), std::uint32_t(t));
+        latency.Record(kUsec * double(i + 1), std::uint32_t(t));
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(sharded->value(), std::uint64_t(kThreads) * kPerThread);
   EXPECT_EQ(contended->value(), std::uint64_t(kThreads) * kPerThread);
-  EXPECT_EQ(hist->count(), std::uint64_t(kThreads) * kPerThread);
+  EXPECT_EQ(latency.count(), std::uint64_t(kThreads) * kPerThread);
   const TelemetrySnapshot snap = tree.Snapshot();
   EXPECT_EQ(snap.ValueOr("race/sharded", 0),
             std::uint64_t(kThreads) * kPerThread);
