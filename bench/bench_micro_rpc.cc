@@ -13,11 +13,19 @@
 // direction-hinted counters (higher is better). The pooled>=2x-unpooled
 // ratio check IS gated (bench exit code), because the ratio — unlike the
 // absolute rates — is machine-independent.
+//
+// A second gated ratio prices TCP's inline path: a 64 KiB fetch round
+// trip over TCP against the same fetch over RDMA, timed in alternating
+// pairs (bench::Pairs) so ambient load lands on both alike. Both arms
+// fill and push the same 64 KiB; RDMA then writes it one-sided into the
+// client's window, while TCP copies it once into the reply's inline
+// segment and the client copies it once out, as a socket would.
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 
+#include "bench/paired.h"
 #include "bench/registry.h"
 #include "common/bytes.h"
 #include "common/table.h"
@@ -49,7 +57,7 @@ struct RpcHarness {
     client->set_mr_pooling(pooled);
     // Fetch/update-shaped echo: pull whatever the client sent, fill
     // whatever window it exposed.
-    server.Register(1, [](const Buffer&, rpc::BulkIo& bulk)
+    server.Register(1, [](ByteView, rpc::BulkIo& bulk)
                            -> Result<Buffer> {
       if (bulk.in_size() > 0) {
         Buffer data(bulk.in_size());
@@ -129,6 +137,21 @@ double BestBulkRate(const Workload& w, std::uint64_t bulk_size,
   return best;
 }
 
+/// Microseconds per fetch-shaped call filling `window`, over `calls`
+/// calls on `h`.
+double FetchUs(RpcHarness& h, std::span<std::byte> window,
+               std::uint64_t calls, bool* all_ok) {
+  rpc::CallOptions options;
+  options.recv_bulk = window;
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < calls; ++i) {
+    *all_ok = *all_ok && h.client->Call(1, kNoHeader, options).ok();
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::micro>(stop - start).count() /
+         double(calls);
+}
+
 }  // namespace
 
 ROS2_BENCH_EXPERIMENT(micro_rpc_data_path,
@@ -192,6 +215,45 @@ ROS2_BENCH_EXPERIMENT(micro_rpc_data_path,
              {{"transport", "rdma"}},
              bench::MetricDirection::kHigherIsBetter);
   ctx.Table("RPC data-path throughput (wall clock)", table);
+
+  // TCP vs RDMA 64 KiB fetch round trips, alternating which arm runs
+  // first; the first pair warms both harnesses and is dropped.
+  constexpr std::uint64_t kFetch = 64 * 1024;
+  constexpr double kTcpOverRdmaBound = 2.0;
+  const int pairs = ctx.quick() ? 15 : 41;
+  const std::uint64_t fetch_calls = ctx.quick() ? 100 : 400;
+  RpcHarness tcp(net::Transport::kTcp, true);
+  RpcHarness rdma(net::Transport::kRdma, true);
+  Buffer tcp_window(kFetch);
+  Buffer rdma_window(kFetch);
+  bench::Pairs fetch_us;  // a = TCP, b = RDMA
+  for (int i = 0; i <= pairs; ++i) {
+    double tcp_us = 0.0;
+    double rdma_us = 0.0;
+    if (i % 2 == 0) {
+      tcp_us = FetchUs(tcp, tcp_window, fetch_calls, &all_ok);
+      rdma_us = FetchUs(rdma, rdma_window, fetch_calls, &all_ok);
+    } else {
+      rdma_us = FetchUs(rdma, rdma_window, fetch_calls, &all_ok);
+      tcp_us = FetchUs(tcp, tcp_window, fetch_calls, &all_ok);
+    }
+    if (i > 0) fetch_us.Add(tcp_us, rdma_us);
+  }
+  const double tcp_over_rdma = fetch_us.MedianRatio();
+  ctx.Check("every paired fetch succeeded", all_ok);
+  ctx.Check("64 KiB TCP fetch round trip <= 2x RDMA (median of pairs)",
+            tcp_over_rdma > 0.0 && tcp_over_rdma <= kTcpOverRdmaBound);
+  ctx.Metric("rpc_fetch_64k_us", "us", fetch_us.MedianA(),
+             {{"transport", "tcp"}}, bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("rpc_fetch_64k_us", "us", fetch_us.MedianB(),
+             {{"transport", "rdma"}},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Metric("rpc_tcp_over_rdma_fetch_64k", "ratio", tcp_over_rdma, {},
+             bench::MetricDirection::kLowerIsBetter);
+  ctx.Note("64 KiB fetch round trip, median of " + std::to_string(pairs) +
+           " pairs: TCP " + std::to_string(fetch_us.MedianA()) +
+           " us, RDMA " + std::to_string(fetch_us.MedianB()) +
+           " us, TCP/RDMA " + std::to_string(tcp_over_rdma));
 }
 
 ROS2_BENCH_MAIN()

@@ -32,7 +32,7 @@ struct RpcPair {
     qp = *qp_result;
     client = std::make_unique<rpc::RpcClient>(
         qp, client_ep, [this] { (void)server.Progress(qp->peer()); });
-    server.Register(1, [](const Buffer&, rpc::BulkIo& bulk) -> Result<Buffer> {
+    server.Register(1, [](ByteView, rpc::BulkIo& bulk) -> Result<Buffer> {
       Buffer data(bulk.in_size());
       if (bulk.in_size() > 0) {
         ROS2_RETURN_IF_ERROR(bulk.Pull(data));

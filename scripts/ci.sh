@@ -120,14 +120,15 @@ fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then
   # ThreadSanitizer gate over the concurrency suites: the xstream workers,
-  # the poll-set doorbell, the MR cache, and the stall-deadline client are
-  # all multithreaded now, and TSan keeps their locking honest. Only the
+  # the poll-set doorbell, the MR cache, the stall-deadline client and the
+  # engine's shared SCM arena are all multithreaded now, and TSan keeps
+  # their locking honest. Only the
   # concurrency-relevant test binaries are built (benches/examples off) so
   # the stage stays cheap; halt_on_error makes any report a hard failure.
   TSAN_DIR="${BUILD_DIR}-tsan"
   TSAN_SUITES="engine_scheduler_mt_test|fabric_test|mr_cache_test"
   TSAN_SUITES+="|rpc_pipeline_test|engine_scheduler_test|nvme_device_test"
-  TSAN_SUITES+="|telemetry_test|rebuild_mt_test|dfs_mt_test"
+  TSAN_SUITES+="|telemetry_test|rebuild_mt_test|dfs_mt_test|pmem_pool_test"
   cmake -B "$TSAN_DIR" -S . "${CMAKE_ARGS[@]}" -DROS2_SANITIZE=thread \
       -DROS2_BUILD_BENCHES=OFF -DROS2_BUILD_EXAMPLES=OFF
   # shellcheck disable=SC2086  # the | list is a ctest regex, not words

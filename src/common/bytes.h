@@ -4,12 +4,42 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace ros2 {
 
 using Buffer = std::vector<std::byte>;
+/// Read-only view of bytes someone else owns (a frame, a header).
+using ByteView = std::span<const std::byte>;
+
+/// Bytes allocated without being initialised, for a payload whose producer
+/// writes every byte (a Buffer would zero it first). Move-only.
+class RawBuffer {
+ public:
+  RawBuffer() = default;
+  explicit RawBuffer(std::size_t size)
+      : data_(std::make_unique_for_overwrite<std::byte[]>(size)),
+        size_(size) {}
+  RawBuffer(RawBuffer&& other) noexcept
+      : data_(std::move(other.data_)), size_(std::exchange(other.size_, 0)) {}
+  RawBuffer& operator=(RawBuffer&& other) noexcept {
+    data_ = std::move(other.data_);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
+
+  std::byte* data() const { return data_.get(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::span<std::byte> span() const { return {data_.get(), size_}; }
+
+ private:
+  std::unique_ptr<std::byte[]> data_;
+  std::size_t size_ = 0;
+};
 
 /// Fills `out` with a position-dependent pattern derived from (tag, offset):
 /// byte i = mix(tag, offset + i). Any slice of a filled region can be

@@ -4,36 +4,42 @@
 
 namespace ros2::common {
 
+void FreeExtents::Insert(std::uint64_t offset, std::uint64_t size) {
+  by_offset_.emplace(offset, size);
+  by_size_.emplace(size, offset);
+}
+
+void FreeExtents::Erase(std::map<std::uint64_t, std::uint64_t>::iterator at) {
+  by_size_.erase({at->second, at->first});
+  by_offset_.erase(at);
+}
+
 std::optional<std::uint64_t> FreeExtents::Take(std::uint64_t size) {
-  for (auto it = free_.begin(); it != free_.end(); ++it) {
-    if (it->second < size) continue;
-    const std::uint64_t offset = it->first;
-    const std::uint64_t remaining = it->second - size;
-    free_.erase(it);
-    if (remaining > 0) free_[offset + size] = remaining;
-    used_ += size;
-    return offset;
-  }
-  return std::nullopt;
+  const auto fit = by_size_.lower_bound({size, 0});
+  if (fit == by_size_.end()) return std::nullopt;
+  const auto [extent, offset] = *fit;
+  Erase(by_offset_.find(offset));
+  if (extent > size) Insert(offset + size, extent - size);
+  used_ += size;
+  return offset;
 }
 
 void FreeExtents::Give(std::uint64_t offset, std::uint64_t size) {
   used_ -= size;
-  auto inserted = free_.emplace(offset, size).first;
-  if (inserted != free_.begin()) {
-    auto prev = std::prev(inserted);
-    if (prev->first + prev->second == inserted->first) {
-      prev->second += inserted->second;
-      free_.erase(inserted);
-      inserted = prev;
+  auto next = by_offset_.lower_bound(offset);
+  if (next != by_offset_.begin()) {
+    const auto prev = std::prev(next);
+    if (prev->first + prev->second == offset) {
+      offset = prev->first;
+      size += prev->second;
+      Erase(prev);
     }
   }
-  auto next = std::next(inserted);
-  if (next != free_.end() &&
-      inserted->first + inserted->second == next->first) {
-    inserted->second += next->second;
-    free_.erase(next);
+  if (next != by_offset_.end() && offset + size == next->first) {
+    size += next->second;
+    Erase(next);
   }
+  Insert(offset, size);
 }
 
 }  // namespace ros2::common

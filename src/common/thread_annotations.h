@@ -1,7 +1,8 @@
 // Clang thread-safety capability annotations + the project mutex wrapper.
 //
 // Every locking rule in this tree — the net layer's documented
-// MrCache -> Endpoint -> PollSet -> Qp order, "MrCache fully mutexed",
+// MrCache -> Endpoint -> PollSet -> Qp order, the SCM arena's mutex as a
+// leaf (nothing is locked under it), "MrCache fully mutexed",
 // "container table under a mutex" — used to live only in comments and in
 // whatever the TSan suites happened to exercise. These macros turn those
 // contracts into compile errors under Clang (-Wthread-safety is promoted

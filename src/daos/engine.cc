@@ -120,6 +120,7 @@ DaosEngine::DaosEngine(net::Endpoint* endpoint, EngineConfig config,
                  EngineSchedulerOptions{config_.xstream_workers,
                                         /*time_ops=*/config_.telemetry}),
       telemetry_(/*default_shards=*/config_.targets + 1),
+      scm_arena_(std::uint64_t(config_.targets) * config_.scm_per_target),
       updates_(config_.targets),
       fetches_(config_.targets) {
   pd_ = endpoint_->AllocPd();
@@ -143,7 +144,8 @@ DaosEngine::DaosEngine(net::Endpoint* endpoint, EngineConfig config,
     const std::uint64_t base = (share * slot) / lba * lba;
 
     Target target;
-    target.scm = std::make_unique<scm::PmemPool>(config_.scm_per_target);
+    target.scm =
+        std::make_unique<scm::PmemPool>(&scm_arena_, config_.scm_per_target);
     target.bdev = std::make_unique<spdk::Bdev>(device);
     VosConfig vos_config;
     vos_config.checksums = config_.checksums;
@@ -350,11 +352,11 @@ Result<telemetry::TelemetrySnapshot> DaosEngine::published_snapshot() const {
 }
 
 void DaosEngine::RegisterHandlers() {
-  using InlineFn = Result<Buffer> (DaosEngine::*)(const Buffer&);
+  using InlineFn = Result<Buffer> (DaosEngine::*)(ByteView);
   // Metadata / pool-service ops: answered inline from the dispatch step.
   auto answer = [this](DaosOpcode op, InlineFn fn) {
     server_.Register(std::uint32_t(op),
-                     [this, fn](const Buffer& h, rpc::BulkIo&) {
+                     [this, fn](ByteView h, rpc::BulkIo&) {
                        return (this->*fn)(h);
                      });
   };
@@ -362,7 +364,7 @@ void DaosEngine::RegisterHandlers() {
   // answer observes every already-issued op.
   auto barrier = [this](DaosOpcode op, InlineFn fn) {
     server_.Register(std::uint32_t(op),
-                     [this, fn](const Buffer& h, rpc::BulkIo&) {
+                     [this, fn](ByteView h, rpc::BulkIo&) {
                        scheduler_.Quiesce();
                        return (this->*fn)(h);
                      });
@@ -434,7 +436,7 @@ rpc::HandlerVerdict DaosEngine::Route(rpc::RpcContextPtr ctx, ExecFn exec,
 
 // ------------------------------------------------------ inline handlers
 
-Result<Buffer> DaosEngine::HandlePoolConnect(const Buffer& header) {
+Result<Buffer> DaosEngine::HandlePoolConnect(ByteView header) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(std::string label, dec.Str());
   ROS2_ASSIGN_OR_RETURN(std::string token, dec.Str());
@@ -449,7 +451,7 @@ Result<Buffer> DaosEngine::HandlePoolConnect(const Buffer& header) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::HandleContCreate(const Buffer& header) {
+Result<Buffer> DaosEngine::HandleContCreate(ByteView header) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(std::string label, dec.Str());
   common::MutexLock lk(containers_mu_);
@@ -474,7 +476,7 @@ Result<Buffer> DaosEngine::HandleContCreate(const Buffer& header) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::HandleContOpen(const Buffer& header) {
+Result<Buffer> DaosEngine::HandleContOpen(ByteView header) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(std::string label, dec.Str());
   common::MutexLock lk(containers_mu_);
@@ -487,7 +489,7 @@ Result<Buffer> DaosEngine::HandleContOpen(const Buffer& header) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::HandleOidAlloc(const Buffer& header) {
+Result<Buffer> DaosEngine::HandleOidAlloc(ByteView header) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(ContainerId cont_id, dec.U64());
   // next_oid is plain (not atomic): allocate under the table lock.
@@ -500,7 +502,7 @@ Result<Buffer> DaosEngine::HandleOidAlloc(const Buffer& header) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::ListDkeyPage(const Buffer& header) {
+Result<Buffer> DaosEngine::ListDkeyPage(ByteView header) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(ContainerId cont_id, dec.U64());
   ObjectId oid;
@@ -560,7 +562,7 @@ Result<Buffer> DaosEngine::ListDkeyPage(const Buffer& header) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::HandleObjScan(const Buffer&) {
+Result<Buffer> DaosEngine::HandleObjScan(ByteView) {
   // Within one engine a dkey lives on exactly one target, so the
   // concatenation is already duplicate-free.
   rpc::Encoder enc;
@@ -578,7 +580,7 @@ Result<Buffer> DaosEngine::HandleObjScan(const Buffer&) {
   return enc.Take();
 }
 
-Result<Buffer> DaosEngine::HandleTelemetryQuery(const Buffer& header) {
+Result<Buffer> DaosEngine::HandleTelemetryQuery(ByteView header) {
   rpc::Decoder dec(header);
   ROS2_ASSIGN_OR_RETURN(std::uint8_t flags, dec.U8());
   ROS2_ASSIGN_OR_RETURN(std::string prefix, dec.Str());
@@ -605,14 +607,14 @@ Result<Buffer> DaosEngine::ExecObjUpdate(Container& cont, const ObjAddr& addr,
   if (bulk.in_size() == 0) {
     return Status(InvalidArgument("update requires a bulk payload"));
   }
-  // Uninitialized: Pull writes every byte before VOS reads any.
-  const auto storage =
-      std::make_unique_for_overwrite<std::byte[]>(bulk.in_size());
-  const std::span<std::byte> data(storage.get(), bulk.in_size());
-  ROS2_RETURN_IF_ERROR(bulk.Pull(data));
-  const Epoch epoch = cont.next_epoch++;
-  ROS2_RETURN_IF_ERROR(targets_[target].vos->UpdateArray(
-      addr.oid, addr.dkey, addr.akey, epoch, offset, data));
+  // VOS stores the payload where the transport holds it: a TCP request
+  // frame, or the staging buffer an RDMA pull lands in.
+  Epoch epoch = 0;
+  ROS2_RETURN_IF_ERROR(bulk.PullInPlace([&](ByteView data) {
+    epoch = cont.next_epoch++;
+    return targets_[target].vos->UpdateArray(addr.oid, addr.dkey, addr.akey,
+                                             epoch, offset, data);
+  }));
   updates_.Add(1, target);
   rpc::Encoder enc;
   enc.U64(epoch);
@@ -630,13 +632,16 @@ Result<Buffer> DaosEngine::ExecObjFetch(Container&, const ObjAddr& addr,
   if (length != bulk.out_capacity()) {
     return Status(InvalidArgument("fetch length != client bulk window"));
   }
-  // Uninitialized: a FetchArray that succeeds writes every byte, zeros for
-  // holes; one that fails pushes nothing.
-  const auto storage = std::make_unique_for_overwrite<std::byte[]>(length);
-  const std::span<std::byte> data(storage.get(), length);
-  ROS2_RETURN_IF_ERROR(targets_[target].vos->FetchArray(
-      addr.oid, addr.dkey, addr.akey, epoch, offset, data));
-  ROS2_RETURN_IF_ERROR(bulk.Push(data));
+  // Fetched straight into what the reply carries: a TCP reply's inline
+  // segment, or the staging buffer an RDMA push writes from. A FetchArray
+  // that succeeds writes every byte, zeros for holes; one that fails
+  // pushes nothing.
+  ROS2_RETURN_IF_ERROR(
+      bulk.PushInPlace(length, [&](std::span<std::byte> data) {
+        return targets_[target].vos->FetchArray(addr.oid, addr.dkey,
+                                                addr.akey, epoch, offset,
+                                                data);
+      }));
   fetches_.Add(1, target);
   return Buffer{};
 }

@@ -112,7 +112,9 @@ struct EngineConfig {
   /// Shared secret required by PoolConnect ("" = open pool).
   std::string access_token;
   std::uint32_t targets = 16;
-  /// SCM arena per target (allocates real memory; sized for tests/benches).
+  /// SCM quota per target. The engine backs every target's pool with one
+  /// arena of targets x this size, touched only where blocks are handed
+  /// out (sized for tests/benches).
   std::uint64_t scm_per_target = 64ull * 1024 * 1024;
   bool checksums = true;
   /// True: each target is a real execution stream — a worker thread with a
@@ -175,6 +177,8 @@ class DaosEngine {
 
   /// Direct VOS access for white-box tests (target introspection).
   Vos* target_vos(std::uint32_t target);
+  /// The arena behind every target's SCM pool (tests: its high-water).
+  const scm::ScmArena& scm_arena() const { return scm_arena_; }
 
   /// Data-plane writes (updates + rebuild imports) and reads (fetches +
   /// rebuild exports) executed — the engine/updates and engine/fetches
@@ -290,16 +294,16 @@ class DaosEngine {
                                 rpc::RpcContext& ctx);
 
   // Inline handlers (metadata ops; dkey listing and scan run as barriers).
-  Result<Buffer> HandlePoolConnect(const Buffer& header);
-  Result<Buffer> HandleContCreate(const Buffer& header);
-  Result<Buffer> HandleContOpen(const Buffer& header);
-  Result<Buffer> HandleOidAlloc(const Buffer& header);
+  Result<Buffer> HandlePoolConnect(ByteView header);
+  Result<Buffer> HandleContCreate(ByteView header);
+  Result<Buffer> HandleContOpen(ByteView header);
+  Result<Buffer> HandleOidAlloc(ByteView header);
   /// kListEntries: every target appends its sorted run (names, plus the
   /// akey's values when the akey is non-empty), and the reply is their
   /// merge.
-  Result<Buffer> ListDkeyPage(const Buffer& header);
-  Result<Buffer> HandleTelemetryQuery(const Buffer& header);
-  Result<Buffer> HandleObjScan(const Buffer& header);
+  Result<Buffer> ListDkeyPage(ByteView header);
+  Result<Buffer> HandleTelemetryQuery(ByteView header);
+  Result<Buffer> HandleObjScan(ByteView header);
 
   void ProgressThreadMain();
 
@@ -312,6 +316,9 @@ class DaosEngine {
   /// One counter shard per target plus one for the progress thread.
   telemetry::Telemetry telemetry_;
   telemetry::TraceRing traces_;
+  /// The SCM every target's pool carves its blocks from; declared before
+  /// targets_ so the pools return their blocks before it goes.
+  scm::ScmArena scm_arena_;
   std::vector<Target> targets_;
   /// Guards the container tables (created on the dispatch path, looked up
   /// from worker threads). Map nodes are stable, so a Container* handed

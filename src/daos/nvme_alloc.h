@@ -1,7 +1,7 @@
 // Block-granular allocator over a bdev's LBA space.
 //
 // The VOS data path places large extents on NVMe; this allocator hands out
-// LBA-aligned regions from a first-fit, coalescing free-extent list (a
+// LBA-aligned regions from a best-fit, coalescing free-extent list (a
 // simplified SPDK blobstore cluster allocator).
 #pragma once
 

@@ -50,18 +50,17 @@ Qp::~Qp() {
   if (set != nullptr) set->Remove(this);
 }
 
-Status Qp::Send(std::span<const std::byte> payload) {
+Status Qp::Send(Buffer payload, RawBuffer tail) {
   if (peer_ == nullptr) return Unavailable("qp not connected");
   if (fault_plan_.Evaluate(common::FaultPoint::kNetSend).fire) {
     return Unavailable("injected send fault");
   }
-  Message msg;
-  msg.payload.assign(payload.begin(), payload.end());
+  const std::size_t bytes = payload.size() + tail.size();
   {
     common::MutexLock lk(peer_->mu_);
-    peer_->rx_queue_.push_back(std::move(msg));
+    peer_->rx_queue_.push_back({std::move(payload), std::move(tail)});
   }
-  bytes_sent_.fetch_add(payload.size(), std::memory_order_relaxed);
+  bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
   // The peer's Qp lock is released before taking the poll set's (lock
   // order: PollSet before Qp, never nested the other way).
   PollSet* set = peer_->poll_set_.load(std::memory_order_acquire);

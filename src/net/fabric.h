@@ -10,8 +10,10 @@
 //    before touching memory — exactly the capability model whose abuse
 //    Pythia [39] demonstrated.
 //  - TCP: the same Qp handle but *without* one-sided ops: payloads can only
-//    move through send/recv streams (upper layers pay the copies, which is
-//    where the paper's TCP overhead lives).
+//    move through send/recv streams. The upper layers pay a socket's
+//    copies: the sender copies a payload into the message it sends, the
+//    receiver copies it out — which is where the paper's TCP overhead
+//    lives. Sending itself moves the message and copies nothing.
 //
 // Time for rkey expiry is the fabric's logical clock, advanced by tests and
 // by the perf-model-driven harness.
@@ -80,9 +82,13 @@ struct MemoryRegion {
   bool revoked = false;
 };
 
-/// Two-sided message as delivered by Qp::Recv.
+/// Two-sided message as delivered by Qp::Recv: the sender's frame and an
+/// optional second segment that travels beside it, the second iovec of a
+/// real sendmsg. Neither is copied on the way: Send moves both into the
+/// peer's receive queue.
 struct Message {
   Buffer payload;
+  RawBuffer tail;
 };
 
 /// Readiness set over queue pairs — the completion-channel analog of a
@@ -300,9 +306,11 @@ class Qp {
   /// used to wire server progress loops).
   Qp* peer() const { return peer_; }
 
-  /// Two-sided eager send: copies `payload` into the peer's receive queue.
+  /// Two-sided eager send: moves `payload` (and the optional second
+  /// segment `tail`) into the peer's receive queue. The caller builds the
+  /// frame once, at its final size; the fabric itself copies nothing.
   /// Both transports support this (UCX active-message equivalent).
-  Status Send(std::span<const std::byte> payload);
+  Status Send(Buffer payload, RawBuffer tail = {});
 
   /// Polls the receive queue; NOT_FOUND when empty.
   Result<Message> Recv() ROS2_EXCLUDES(mu_);

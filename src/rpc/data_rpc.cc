@@ -43,25 +43,55 @@ Status BulkIo::Pull(std::span<std::byte> dst) {
   return server_qp_->RdmaRead(dst, in_desc_.addr, in_desc_.rkey);
 }
 
+Status BulkIo::PullInPlace(FunctionRef<Status(ByteView)> consume) {
+  if (tcp_) return consume(inline_in_);
+  // Uninitialized: the one-sided read writes every byte first.
+  RawBuffer staging(in_size_);
+  ROS2_RETURN_IF_ERROR(Pull(staging.span()));
+  return consume(staging.span());
+}
+
 Status BulkIo::Push(std::span<const std::byte> src) {
   // A zero-byte push is a no-op on every transport. (It used to reach
   // RdmaWrite against the zero-initialized descriptor when the client
   // exposed no window — rkey 0 -> PermissionDenied on RDMA while TCP
   // succeeded.)
   if (src.empty()) return Status::Ok();
-  if (pushed_ + src.size() > out_capacity_) {
+  if (tcp_) {
+    return PushInPlace(src.size(), [src](std::span<std::byte> dst) {
+      std::memcpy(dst.data(), src.data(), src.size());
+      return Status::Ok();
+    });
+  }
+  if (src.size() > out_capacity_ - pushed_) {
     return OutOfRange("bulk push exceeds client window");
   }
-  if (tcp_) {
-    inline_out_.insert(inline_out_.end(), src.begin(), src.end());
-  } else {
-    // Bound-state one-sided push: writes through this request's decoded
-    // out-descriptor at the running offset. out_capacity_ > 0 implies a
-    // valid descriptor, so this is unreachable without a client window.
-    ROS2_RETURN_IF_ERROR(
-        server_qp_->RdmaWrite(src, out_desc_.addr + pushed_, out_desc_.rkey));
-  }
+  // Bound-state one-sided push: writes through this request's decoded
+  // out-descriptor at the running offset. out_capacity_ > 0 implies a
+  // valid descriptor, so this is unreachable without a client window.
+  ROS2_RETURN_IF_ERROR(
+      server_qp_->RdmaWrite(src, out_desc_.addr + pushed_, out_desc_.rkey));
   pushed_ += src.size();
+  return Status::Ok();
+}
+
+Status BulkIo::PushInPlace(std::size_t size,
+                           FunctionRef<Status(std::span<std::byte>)> fill) {
+  if (size > out_capacity_ - pushed_) {
+    return OutOfRange("bulk push exceeds client window");
+  }
+  if (!tcp_) {
+    RawBuffer staging(size);
+    ROS2_RETURN_IF_ERROR(fill(staging.span()));
+    return Push(staging.span());
+  }
+  // The reply's inline segment, sized exactly: one push allocates it
+  // once, and a further push moves the earlier bytes into a larger one.
+  RawBuffer grown(pushed_ + size);
+  if (pushed_ > 0) std::memcpy(grown.data(), inline_out_.data(), pushed_);
+  ROS2_RETURN_IF_ERROR(fill(grown.span().subspan(pushed_)));
+  inline_out_ = std::move(grown);
+  pushed_ += size;
   return Status::Ok();
 }
 
@@ -82,14 +112,14 @@ Status RpcContext::Complete(Result<Buffer> reply) {
     return FailedPrecondition("rpc context already completed");
   }
 
-  Encoder enc;
   // Reply tag + echoed trace ID: the tag lets the client match
   // out-of-order replies, the trace ID correlates the reply with the
   // engine-side TraceRecord for this request.
+  bool handler_ok = reply.ok();
+  Encoder enc(Encoder::kInlineReserve +
+              (handler_ok ? reply->size() : reply.status().message().size()));
   enc.U64(seq_).U64(trace_id_);
-  bool handler_ok = false;
-  if (reply.ok()) {
-    handler_ok = true;
+  if (handler_ok) {
     enc.U16(std::uint16_t(ErrorCode::kOk)).Str("").Bytes(*reply);
   } else {
     enc.U16(std::uint16_t(reply.status().code()))
@@ -100,10 +130,6 @@ Status RpcContext::Complete(Result<Buffer> reply) {
   // must not hand the client partial output to copy into its buffer.
   // (RDMA pushes that already landed one-sided can't be unwritten, but
   // the reply tells the client to treat the window as undefined.)
-  if (bulk_.tcp_) {
-    enc.Bytes(handler_ok ? std::span<const std::byte>(bulk_.inline_out_)
-                         : std::span<const std::byte>{});
-  }
   enc.U64(handler_ok ? bulk_.pushed_ : 0);
   if (!enc.ok()) {
     // A handler produced output too large for the wire's length
@@ -112,9 +138,8 @@ Status RpcContext::Complete(Result<Buffer> reply) {
     oversize.U64(seq_).U64(trace_id_);
     oversize.U16(std::uint16_t(ErrorCode::kOutOfRange))
         .Str("reply exceeds wire limits")
-        .Bytes({});
-    if (bulk_.tcp_) oversize.Bytes({});
-    oversize.U64(0);
+        .Bytes({})
+        .U64(0);
     enc = std::move(oversize);
     handler_ok = false;
   }
@@ -147,7 +172,10 @@ Status RpcContext::Complete(Result<Buffer> reply) {
           {trace_id_, opcode_, queue, exec, total});
     }
   }
-  return qp_->Send(enc.buffer());
+  // A TCP reply's inline payload rides as the message's second segment,
+  // so the frame is never assembled around it.
+  return qp_->Send(enc.Take(), handler_ok ? std::move(bulk_.inline_out_)
+                                          : RawBuffer{});
 }
 
 // -------------------------------------------------------------- RpcServer
@@ -198,13 +226,16 @@ void RpcServer::InstrumentOpcode(std::uint32_t opcode, Registration& reg) {
 }
 
 Result<RpcContextPtr> RpcServer::Decode(net::Qp* qp, Buffer frame) {
-  Decoder dec(frame);
   auto ctx = RpcContextPtr(new RpcContext());
   ctx->qp_ = qp;
+  // The context keeps the frame; the header and a TCP inline payload are
+  // views into it (moving a vector keeps its bytes in place).
+  ctx->frame_ = std::move(frame);
+  Decoder dec(ctx->frame_);
   ROS2_ASSIGN_OR_RETURN(ctx->opcode_, dec.U32());
   ROS2_ASSIGN_OR_RETURN(ctx->seq_, dec.U64());
   ROS2_ASSIGN_OR_RETURN(ctx->trace_id_, dec.U64());
-  ROS2_ASSIGN_OR_RETURN(ctx->header_, dec.Bytes());
+  ROS2_ASSIGN_OR_RETURN(ctx->header_, dec.BytesView());
   if (tree_ != nullptr) ctx->decode_ns_ = telemetry::NowNs();
 
   const bool tcp = qp->transport() == net::Transport::kTcp;
@@ -215,7 +246,7 @@ Result<RpcContextPtr> RpcServer::Decode(net::Qp* qp, Buffer frame) {
   ROS2_ASSIGN_OR_RETURN(std::uint8_t has_in, dec.U8());
   if (has_in != 0) {
     if (tcp) {
-      ROS2_ASSIGN_OR_RETURN(bulk.inline_in_, dec.Bytes());
+      ROS2_ASSIGN_OR_RETURN(bulk.inline_in_, dec.BytesView());
       bulk.in_size_ = bulk.inline_in_.size();
     } else {
       ROS2_RETURN_IF_ERROR(DecodeBulkDesc(dec, &bulk.in_desc_));
@@ -231,6 +262,7 @@ Result<RpcContextPtr> RpcServer::Decode(net::Qp* qp, Buffer frame) {
       bulk.out_capacity_ = bulk.out_desc_.len;
     }
   }
+  if (!dec.Done()) return DataLoss("trailing bytes after rpc request");
   // Armed last: only a fully-decoded context owes the client a reply (a
   // decode failure above destroys the partial context silently, as the
   // pre-pipeline server did).
@@ -325,7 +357,10 @@ Result<RpcClient::CallId> RpcClient::CallAsync(
 
   const CallId id = next_seq_++;
   const std::uint64_t trace = options.trace_id != 0 ? options.trace_id : id;
-  Encoder req;
+  // Sized once: a TCP payload is copied into the frame exactly once and
+  // the frame moves into the send queue.
+  Encoder req(Encoder::kInlineReserve + header.size() +
+              (tcp ? options.send_bulk.size() : 0));
   req.U32(opcode).U64(id).U64(trace).Bytes(header);
 
   // Leases on this call's bulk windows (RDMA rendezvous). Pooled by
@@ -372,7 +407,7 @@ Result<RpcClient::CallId> RpcClient::CallAsync(
   }
 
   if (!req.ok()) return Status(req.status());
-  ROS2_RETURN_IF_ERROR(qp_->Send(req.buffer()));
+  ROS2_RETURN_IF_ERROR(qp_->Send(req.Take()));
   call.id = id;
   call.recv_bulk = options.recv_bulk;
   pending_.push_back(std::move(call));
@@ -417,8 +452,8 @@ void RpcClient::CompletePending(PendingCall& call, Result<RpcReply> result) {
   --in_flight_;
 }
 
-void RpcClient::MatchReply(const Buffer& frame) {
-  Decoder dec(frame);
+void RpcClient::MatchReply(const net::Message& reply) {
+  Decoder dec(reply.payload);
   auto seq = dec.U64();
   auto trace = dec.U64();
   if (!seq.ok() || !trace.ok()) {
@@ -438,52 +473,43 @@ void RpcClient::MatchReply(const Buffer& frame) {
   auto code = dec.U16();
   auto err = dec.Str();
   auto reply_header = dec.Bytes();
-  if (!code.ok() || !err.ok() || !reply_header.ok()) {
+  auto pushed = dec.U64();
+  if (!code.ok() || !err.ok() || !reply_header.ok() || !pushed.ok() ||
+      !dec.Done()) {
     CompletePending(call, Status(DataLoss("malformed rpc reply")));
     return;
   }
-  const bool reply_ok = ErrorCode(*code) == ErrorCode::kOk;
-
-  RpcReply out;
-  out.header = std::move(*reply_header);
-  out.trace_id = *trace;
-
-  if (qp_->transport() == net::Transport::kTcp) {
-    auto inline_out = dec.Bytes();
-    if (!inline_out.ok()) {
-      CompletePending(call, inline_out.status());
-      return;
-    }
-    if (reply_ok) {
-      // Only successful replies may land bytes in the caller's window;
-      // error replies carry no bulk (and any that claim to are ignored).
-      if (inline_out->size() > call.recv_bulk.size()) {
-        CompletePending(
-            call, Status(OutOfRange("server pushed more than the recv "
-                                    "window")));
-        return;
-      }
-      // Skip the copy entirely when the reply carries no inline bulk:
-      // with no recv window both pointers are null, and memcpy's
-      // arguments are declared nonnull even for length 0 (UBSan-fatal;
-      // any zero-bulk TCP unary call reproduces it).
-      if (!inline_out->empty()) {
-        std::memcpy(call.recv_bulk.data(), inline_out->data(),
-                    inline_out->size());
-      }
-    }
-  }
-  auto pushed = dec.U64();
-  if (!pushed.ok()) {
-    CompletePending(call, pushed.status());
-    return;
-  }
-  out.bulk_received = *pushed;
-
-  if (!reply_ok) {
+  if (ErrorCode(*code) != ErrorCode::kOk) {
+    // Error replies land no bytes in the caller's window (any inline
+    // segment one carries is ignored).
     CompletePending(call, Status(ErrorCode(*code), *err));
     return;
   }
+  if (qp_->transport() == net::Transport::kTcp) {
+    const RawBuffer& inline_out = reply.tail;
+    if (inline_out.size() > call.recv_bulk.size()) {
+      CompletePending(
+          call, Status(OutOfRange("server pushed more than the recv "
+                                  "window")));
+      return;
+    }
+    if (*pushed != inline_out.size()) {
+      CompletePending(call, Status(DataLoss("malformed rpc reply")));
+      return;
+    }
+    // Skip the copy entirely when the reply carries no inline bulk:
+    // with no recv window both pointers are null, and memcpy's
+    // arguments are declared nonnull even for length 0 (UBSan-fatal;
+    // any zero-bulk TCP unary call reproduces it).
+    if (!inline_out.empty()) {
+      std::memcpy(call.recv_bulk.data(), inline_out.data(),
+                  inline_out.size());
+    }
+  }
+  RpcReply out;
+  out.header = std::move(*reply_header);
+  out.trace_id = *trace;
+  out.bulk_received = *pushed;
   CompletePending(call, std::move(out));
 }
 
@@ -493,7 +519,7 @@ std::size_t RpcClient::Poll() {
     auto msg = qp_->Recv();
     if (!msg.ok()) break;
     const std::size_t before = in_flight_;
-    MatchReply(msg->payload);
+    MatchReply(*msg);
     if (in_flight_ < before) ++completed;
   }
   return completed;

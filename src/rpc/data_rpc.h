@@ -7,13 +7,21 @@
 //    descriptors; the SERVER drives one-sided RdmaRead (pull client data)
 //    or RdmaWrite (push results) — rendezvous, zero client-side copies.
 //  - TCP: payloads are carried inline in the send/recv stream in both
-//    directions — the copy-heavy path the paper measures against.
+//    directions — the path the paper measures against — and pay exactly
+//    a socket's copies: the sender copies each payload byte once into
+//    the message it sends, the receiver copies it once out. A request
+//    frame is built once at its final size with the payload inside; the
+//    server keeps the received frame and its BulkIo reads the header and
+//    inline payload as views into it. A reply's inline payload travels
+//    as the message's second segment (Message::tail), which a handler
+//    fills in place (BulkIo::PushInPlace); the client copies it once into
+//    the caller's window.
 //
 // The request path is an async pipeline, both sides:
 //
 //  - SERVER: Progress() splits into decode -> dispatch. Every request
-//    becomes a first-class RpcContext owning the decoded header, the
-//    request's BulkIo, and the reply slot. A handler may reply inline
+//    becomes a first-class RpcContext owning the received frame (its
+//    header is a view into it), the request's BulkIo, and the reply slot. A handler may reply inline
 //    (RpcContext::Complete) or return kDeferred and park the context on a
 //    run queue (daos::EngineScheduler) to complete later — the CaRT
 //    ULT-per-request model. Requests are matched to replies by a per-call
@@ -75,8 +83,10 @@ struct BulkDesc {
 
 /// Server-side handle for moving bulk data for one request, hiding the
 /// transport (one-sided RDMA vs inline TCP bytes). Push/Pull bind directly
-/// to the request's decoded descriptors — no per-request allocation on the
-/// data-movement path.
+/// to the request's decoded descriptors. The in-place forms let a handler
+/// read or write the payload where the transport has it: on TCP the
+/// request frame and the reply's inline segment, on RDMA a staging buffer
+/// moved one-sided.
 class BulkIo {
  public:
   /// Bytes the client is offering (update/write payload). Size 0 if none.
@@ -86,13 +96,21 @@ class BulkIo {
 
   /// Pulls the client's payload into `dst` (must be exactly in_size()).
   Status Pull(std::span<std::byte> dst);
+  /// Hands the client's in_size() payload bytes to `consume`: on TCP a
+  /// view into the request frame, on RDMA a staging buffer read
+  /// one-sided. The span is valid only during the call.
+  Status PullInPlace(FunctionRef<Status(ByteView)> consume);
 
   /// Pushes `src` to the client's result buffer (<= out_capacity()).
   Status Push(std::span<const std::byte> src);
+  /// Pushes `size` bytes that `fill` writes, every one of them: on TCP
+  /// straight into the reply's inline segment, on RDMA into a staging
+  /// buffer then written one-sided. A failed fill pushes nothing.
+  Status PushInPlace(std::size_t size,
+                     FunctionRef<Status(std::span<std::byte>)> fill);
 
-  /// Bytes actually pushed (travels back in the reply for TCP inline data).
+  /// Bytes actually pushed (the client's count of landed bytes).
   std::uint64_t pushed() const { return pushed_; }
-  const Buffer& inline_out() const { return inline_out_; }
 
  private:
   friend class RpcServer;
@@ -100,8 +118,8 @@ class BulkIo {
   net::Qp* server_qp_ = nullptr;  // RDMA: server side of the connection
   BulkDesc in_desc_;
   BulkDesc out_desc_;
-  Buffer inline_in_;    // TCP: payload that arrived with the request
-  Buffer inline_out_;   // TCP: payload to ship with the reply
+  ByteView inline_in_;    // TCP: view into the request frame
+  RawBuffer inline_out_;  // TCP: the reply's second segment
   std::uint64_t in_size_ = 0;
   std::uint64_t out_capacity_ = 0;
   std::uint64_t pushed_ = 0;
@@ -130,7 +148,9 @@ class RpcContext {
   /// Trace ID from the request frame: the client's correlation handle for
   /// this request's engine-side timing breakdown (echoed in the reply).
   std::uint64_t trace_id() const { return trace_id_; }
-  const Buffer& header() const { return header_; }
+  /// The request header: a view into the received frame, which the
+  /// context owns until it is destroyed.
+  ByteView header() const { return header_; }
   BulkIo& bulk() { return bulk_; }
   net::Qp* qp() const { return qp_; }
   bool completed() const {
@@ -164,7 +184,8 @@ class RpcContext {
   std::uint64_t exec_start_ns_ = 0;
   std::uint64_t exec_end_ns_ = 0;
   RpcOpStats* op_stats_ = nullptr;  ///< owned by the server's registration
-  Buffer header_;
+  Buffer frame_;  ///< the request as received; header_ and bulk_ view it
+  ByteView header_;
   BulkIo bulk_;
   std::atomic<bool> completed_{false};
 };
@@ -178,7 +199,7 @@ class RpcServer {
   /// Synchronous handler (run-to-completion): the return value is the
   /// reply. Kept as the simple registration surface.
   using Handler =
-      std::function<Result<Buffer>(const Buffer& header, BulkIo& bulk)>;
+      std::function<Result<Buffer>(ByteView header, BulkIo& bulk)>;
   /// Async handler: receives ownership of the context. Reply inline via
   /// ctx->Complete(...) and return kDone, or move the context somewhere
   /// and return kDeferred.
@@ -242,7 +263,9 @@ class RpcServer {
     std::unique_ptr<RpcOpStats> stats;  // non-null once telemetry enabled
   };
 
-  /// Decode step: one wire frame -> an owned, dispatchable context.
+  /// Decode step: one wire frame -> an owned, dispatchable context that
+  /// keeps the frame and views its header and inline payload. A frame
+  /// with bytes past its last field is malformed (DATA_LOSS).
   Result<RpcContextPtr> Decode(net::Qp* qp, Buffer frame);
   /// Dispatch step: routes to the opcode's handler (NOT_FOUND reply for
   /// unknown opcodes).
@@ -382,8 +405,9 @@ class RpcClient {
   bool WaitFor(FunctionRef<bool()> done);
   Result<net::MrLease> AcquireMr(std::span<std::byte> region,
                                  std::uint32_t access);
-  /// Parses one reply frame and completes the matching pending call.
-  void MatchReply(const Buffer& frame);
+  /// Parses one reply and completes the matching pending call, copying
+  /// a TCP reply's inline segment once into the call's window.
+  void MatchReply(const net::Message& reply);
   void CompletePending(PendingCall& call, Result<RpcReply> result);
   PendingCall* FindPending(CallId id);
   const PendingCall* FindPending(CallId id) const;

@@ -32,7 +32,11 @@ class Encoder {
   /// reallocations per frame.
   static constexpr std::size_t kInlineReserve = 112;
 
-  Encoder() { buf_.reserve(kInlineReserve); }
+  /// `reserve`: the frame's final size, when the caller knows it, so a
+  /// frame carrying a payload is allocated once and never regrown.
+  explicit Encoder(std::size_t reserve = kInlineReserve) {
+    buf_.reserve(reserve);
+  }
 
   Encoder& U8(std::uint8_t v);
   Encoder& U16(std::uint16_t v);

@@ -1,17 +1,50 @@
 #include "scm/pmem_pool.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ros2::scm {
 
-PmemPool::PmemPool(std::uint64_t capacity)
+ScmArena::ScmArena(std::uint64_t capacity)
     : capacity_(capacity),
-      arena_(std::make_unique_for_overwrite<std::byte[]>(capacity)),
+      bytes_(std::make_unique_for_overwrite<std::byte[]>(capacity)),
       space_(0, capacity) {}
+
+std::optional<std::uint64_t> ScmArena::Take(std::uint64_t size) {
+  common::MutexLock lk(mu_);
+  const std::optional<std::uint64_t> offset = space_.Take(size);
+  if (offset) high_water_ = std::max(high_water_, *offset + size);
+  return offset;
+}
+
+void ScmArena::Give(std::uint64_t offset, std::uint64_t size) {
+  common::MutexLock lk(mu_);
+  space_.Give(offset, size);
+}
+
+std::uint64_t ScmArena::high_water() const {
+  common::MutexLock lk(mu_);
+  return high_water_;
+}
+
+PmemPool::PmemPool(std::uint64_t capacity)
+    : own_arena_(std::make_unique<ScmArena>(capacity)),
+      arena_(own_arena_.get()),
+      quota_(capacity) {}
+
+PmemPool::PmemPool(ScmArena* arena, std::uint64_t quota)
+    : arena_(arena), quota_(quota) {}
+
+PmemPool::~PmemPool() {
+  for (const Slot& slot : slots_) {
+    if (slot.live) arena_->Give(slot.offset, slot.size);
+  }
+}
 
 Result<PmemHandle> PmemPool::Alloc(std::uint64_t size) {
   if (size == 0) return InvalidArgument("zero-size allocation");
-  const std::optional<std::uint64_t> offset = space_.Take(size);
+  if (size > quota_ - used_) return ResourceExhausted("pmem pool exhausted");
+  const std::optional<std::uint64_t> offset = arena_->Take(size);
   if (!offset) return ResourceExhausted("pmem pool exhausted");
   std::uint32_t index;
   if (free_slots_.empty()) {
@@ -25,7 +58,8 @@ Result<PmemHandle> PmemPool::Alloc(std::uint64_t size) {
   slot.offset = *offset;
   slot.size = size;
   slot.live = true;
-  std::memset(arena_.get() + *offset, 0, size);
+  used_ += size;
+  std::memset(arena_->bytes() + *offset, 0, size);
   return PmemHandle(slot.generation) << 32 | (PmemHandle(index) + 1);
 }
 
@@ -42,7 +76,8 @@ Status PmemPool::Free(PmemHandle handle) {
   const std::size_t index = Find(handle);
   if (index == slots_.size()) return NotFound("unknown pmem handle");
   Slot& slot = slots_[index];
-  space_.Give(slot.offset, slot.size);
+  arena_->Give(slot.offset, slot.size);
+  used_ -= slot.size;
   slot.live = false;
   ++slot.generation;
   free_slots_.push_back(static_cast<std::uint32_t>(index));
@@ -52,14 +87,14 @@ Status PmemPool::Free(PmemHandle handle) {
 Result<std::span<std::byte>> PmemPool::Deref(PmemHandle handle) {
   const std::size_t index = Find(handle);
   if (index == slots_.size()) return NotFound("unknown pmem handle");
-  return std::span<std::byte>(arena_.get() + slots_[index].offset,
+  return std::span<std::byte>(arena_->bytes() + slots_[index].offset,
                               slots_[index].size);
 }
 
 Result<std::span<const std::byte>> PmemPool::Deref(PmemHandle handle) const {
   const std::size_t index = Find(handle);
   if (index == slots_.size()) return NotFound("unknown pmem handle");
-  return std::span<const std::byte>(arena_.get() + slots_[index].offset,
+  return std::span<const std::byte>(arena_->bytes() + slots_[index].offset,
                                     slots_[index].size);
 }
 

@@ -18,7 +18,7 @@ rpc::Encoder EncodeIoHeader(const IoHeader& h) {
   return enc;
 }
 
-Result<IoHeader> DecodeIoHeader(const Buffer& raw) {
+Result<IoHeader> DecodeIoHeader(ByteView raw) {
   rpc::Decoder dec(raw);
   IoHeader h;
   ROS2_ASSIGN_OR_RETURN(h.nsid, dec.U32());
@@ -36,19 +36,19 @@ NvmfTarget::NvmfTarget(net::Fabric* fabric, const std::string& address) {
   pd_ = endpoint_ != nullptr ? endpoint_->AllocPd() : 0;
   using std::placeholders::_1;
   server_.Register(std::uint32_t(NvmfOpcode::kIdentify),
-                   [this](const Buffer& h, rpc::BulkIo& b) {
+                   [this](ByteView h, rpc::BulkIo& b) {
                      return HandleIdentify(h, b);
                    });
   server_.Register(std::uint32_t(NvmfOpcode::kRead),
-                   [this](const Buffer& h, rpc::BulkIo& b) {
+                   [this](ByteView h, rpc::BulkIo& b) {
                      return HandleRead(h, b);
                    });
   server_.Register(std::uint32_t(NvmfOpcode::kWrite),
-                   [this](const Buffer& h, rpc::BulkIo& b) {
+                   [this](ByteView h, rpc::BulkIo& b) {
                      return HandleWrite(h, b);
                    });
   server_.Register(std::uint32_t(NvmfOpcode::kFlush),
-                   [this](const Buffer& h, rpc::BulkIo& b) {
+                   [this](ByteView h, rpc::BulkIo& b) {
                      return HandleFlush(h, b);
                    });
 }
@@ -66,7 +66,7 @@ Result<Bdev*> NvmfTarget::LookupNs(std::uint32_t nsid) {
   return it->second;
 }
 
-Result<Buffer> NvmfTarget::HandleIdentify(const Buffer& header,
+Result<Buffer> NvmfTarget::HandleIdentify(ByteView header,
                                           rpc::BulkIo&) {
   ROS2_ASSIGN_OR_RETURN(IoHeader h, DecodeIoHeader(header));
   ROS2_ASSIGN_OR_RETURN(Bdev * bdev, LookupNs(h.nsid));
@@ -75,33 +75,33 @@ Result<Buffer> NvmfTarget::HandleIdentify(const Buffer& header,
   return enc.Take();
 }
 
-Result<Buffer> NvmfTarget::HandleRead(const Buffer& header,
+Result<Buffer> NvmfTarget::HandleRead(ByteView header,
                                       rpc::BulkIo& bulk) {
   ROS2_ASSIGN_OR_RETURN(IoHeader h, DecodeIoHeader(header));
   ROS2_ASSIGN_OR_RETURN(Bdev * bdev, LookupNs(h.nsid));
   if (h.length != bulk.out_capacity()) {
     return Status(InvalidArgument("read length != client bulk window"));
   }
-  Buffer data(h.length);
-  ROS2_RETURN_IF_ERROR(bdev->Read(h.offset, data));
-  ROS2_RETURN_IF_ERROR(bulk.Push(data));
+  ROS2_RETURN_IF_ERROR(
+      bulk.PushInPlace(h.length, [&](std::span<std::byte> data) {
+        return bdev->Read(h.offset, data);
+      }));
   return Buffer{};
 }
 
-Result<Buffer> NvmfTarget::HandleWrite(const Buffer& header,
+Result<Buffer> NvmfTarget::HandleWrite(ByteView header,
                                        rpc::BulkIo& bulk) {
   ROS2_ASSIGN_OR_RETURN(IoHeader h, DecodeIoHeader(header));
   ROS2_ASSIGN_OR_RETURN(Bdev * bdev, LookupNs(h.nsid));
   if (h.length != bulk.in_size()) {
     return Status(InvalidArgument("write length != client payload"));
   }
-  Buffer data(h.length);
-  ROS2_RETURN_IF_ERROR(bulk.Pull(data));
-  ROS2_RETURN_IF_ERROR(bdev->Write(h.offset, data));
+  ROS2_RETURN_IF_ERROR(bulk.PullInPlace(
+      [&](ByteView data) { return bdev->Write(h.offset, data); }));
   return Buffer{};
 }
 
-Result<Buffer> NvmfTarget::HandleFlush(const Buffer& header, rpc::BulkIo&) {
+Result<Buffer> NvmfTarget::HandleFlush(ByteView header, rpc::BulkIo&) {
   ROS2_ASSIGN_OR_RETURN(IoHeader h, DecodeIoHeader(header));
   ROS2_ASSIGN_OR_RETURN(Bdev * bdev, LookupNs(h.nsid));
   ROS2_RETURN_IF_ERROR(bdev->Flush());

@@ -49,10 +49,10 @@ class NvmfTarget {
   std::uint64_t commands_served() const { return server_.requests_served(); }
 
  private:
-  Result<Buffer> HandleIdentify(const Buffer& header, rpc::BulkIo& bulk);
-  Result<Buffer> HandleRead(const Buffer& header, rpc::BulkIo& bulk);
-  Result<Buffer> HandleWrite(const Buffer& header, rpc::BulkIo& bulk);
-  Result<Buffer> HandleFlush(const Buffer& header, rpc::BulkIo& bulk);
+  Result<Buffer> HandleIdentify(ByteView header, rpc::BulkIo& bulk);
+  Result<Buffer> HandleRead(ByteView header, rpc::BulkIo& bulk);
+  Result<Buffer> HandleWrite(ByteView header, rpc::BulkIo& bulk);
+  Result<Buffer> HandleFlush(ByteView header, rpc::BulkIo& bulk);
   Result<Bdev*> LookupNs(std::uint32_t nsid);
 
   net::Endpoint* endpoint_;

@@ -48,8 +48,8 @@ class DataRpcTest : public ::testing::TestWithParam<net::Transport> {
 };
 
 TEST_P(DataRpcTest, UnaryCallRoundTrip) {
-  server_.Register(1, [](const Buffer& header, BulkIo&) -> Result<Buffer> {
-    Buffer reply = header;
+  server_.Register(1, [](ByteView header, BulkIo&) -> Result<Buffer> {
+    Buffer reply(header.begin(), header.end());
     reply.push_back(std::byte(0xFF));
     return reply;
   });
@@ -65,7 +65,7 @@ TEST_P(DataRpcTest, UnknownOpcode) {
 }
 
 TEST_P(DataRpcTest, HandlerErrorPropagatesWithMessage) {
-  server_.Register(2, [](const Buffer&, BulkIo&) -> Result<Buffer> {
+  server_.Register(2, [](ByteView, BulkIo&) -> Result<Buffer> {
     return Status(OutOfRange("beyond eof"));
   });
   auto reply = client_->Call(2, kNoHeader, {});
@@ -74,8 +74,8 @@ TEST_P(DataRpcTest, HandlerErrorPropagatesWithMessage) {
 }
 
 TEST_P(DataRpcTest, EncoderOverloadRejectsOverflowedHeader) {
-  server_.Register(1, [](const Buffer& header, BulkIo&) -> Result<Buffer> {
-    return header;
+  server_.Register(1, [](ByteView header, BulkIo&) -> Result<Buffer> {
+    return Buffer(header.begin(), header.end());
   });
   Encoder good;
   good.U32(7);
@@ -93,7 +93,7 @@ TEST_P(DataRpcTest, EncoderOverloadRejectsOverflowedHeader) {
 
 TEST_P(DataRpcTest, SendBulkReachesServer) {
   Buffer received;
-  server_.Register(3, [&](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(3, [&](ByteView, BulkIo& bulk) -> Result<Buffer> {
     received.resize(bulk.in_size());
     ROS2_RETURN_IF_ERROR(bulk.Pull(received));
     return Buffer{};
@@ -108,7 +108,7 @@ TEST_P(DataRpcTest, SendBulkReachesServer) {
 
 TEST_P(DataRpcTest, RecvBulkReachesClient) {
   Buffer source = MakePatternBuffer(128 * 1024, 9);
-  server_.Register(4, [&](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(4, [&](ByteView, BulkIo& bulk) -> Result<Buffer> {
     ROS2_RETURN_IF_ERROR(bulk.Push(source));
     return Buffer{};
   });
@@ -122,7 +122,7 @@ TEST_P(DataRpcTest, RecvBulkReachesClient) {
 }
 
 TEST_P(DataRpcTest, BothDirectionsInOneCall) {
-  server_.Register(5, [&](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(5, [&](ByteView, BulkIo& bulk) -> Result<Buffer> {
     Buffer data(bulk.in_size());
     ROS2_RETURN_IF_ERROR(bulk.Pull(data));
     for (auto& b : data) b ^= std::byte(0xFF);  // transform
@@ -141,7 +141,7 @@ TEST_P(DataRpcTest, BothDirectionsInOneCall) {
 }
 
 TEST_P(DataRpcTest, PushBeyondWindowRejected) {
-  server_.Register(6, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(6, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     Buffer big(bulk.out_capacity() + 1);
     ROS2_RETURN_IF_ERROR(bulk.Push(big));
     return Buffer{};
@@ -154,7 +154,7 @@ TEST_P(DataRpcTest, PushBeyondWindowRejected) {
 }
 
 TEST_P(DataRpcTest, IncrementalPushesAccumulate) {
-  server_.Register(7, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(7, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     Buffer chunk = MakePatternBuffer(100, 1);
     ROS2_RETURN_IF_ERROR(bulk.Push(chunk));
     Buffer chunk2 = MakePatternBuffer(100, 1, 100);
@@ -171,7 +171,7 @@ TEST_P(DataRpcTest, IncrementalPushesAccumulate) {
 }
 
 TEST_P(DataRpcTest, PullSizeMismatchRejected) {
-  server_.Register(8, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(8, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     Buffer wrong(bulk.in_size() + 1);
     ROS2_RETURN_IF_ERROR(bulk.Pull(wrong));
     return Buffer{};
@@ -187,7 +187,7 @@ TEST_P(DataRpcTest, PullSizeMismatchRejected) {
 // calls must instead converge to cache hits with a bounded MR count and
 // leave nothing behind once the pool is cleared.
 TEST_P(DataRpcTest, PooledMrsAreCachedBoundedAndReclaimable) {
-  server_.Register(9, [](const Buffer&, BulkIo&) -> Result<Buffer> {
+  server_.Register(9, [](ByteView, BulkIo&) -> Result<Buffer> {
     return Buffer{};
   });
   Buffer payload(1024);
@@ -219,7 +219,7 @@ TEST_P(DataRpcTest, PooledMrsAreCachedBoundedAndReclaimable) {
 
 TEST_P(DataRpcTest, NoMrLeakWhenRecvRegistrationFails) {
   if (!rdma()) GTEST_SKIP() << "registration is RDMA-only";
-  server_.Register(9, [](const Buffer&, BulkIo&) -> Result<Buffer> {
+  server_.Register(9, [](ByteView, BulkIo&) -> Result<Buffer> {
     return Buffer{};
   });
   Buffer payload(2048);
@@ -251,7 +251,7 @@ TEST_P(DataRpcTest, NoMrLeakWhenRecvRegistrationFails) {
 }
 
 TEST_P(DataRpcTest, NoMrLeakWhenSendFails) {
-  server_.Register(9, [](const Buffer&, BulkIo&) -> Result<Buffer> {
+  server_.Register(9, [](ByteView, BulkIo&) -> Result<Buffer> {
     return Buffer{};
   });
   Buffer payload(2048);
@@ -284,7 +284,7 @@ TEST_P(DataRpcTest, ServerDrainsPipelinedRequestsInOrder) {
   // CaRT progress-loop semantics: several requests queued on the QP before
   // the server runs are all served, in arrival order.
   std::vector<std::uint32_t> order;
-  server_.Register(11, [&](const Buffer& header, BulkIo&) -> Result<Buffer> {
+  server_.Register(11, [&](ByteView header, BulkIo&) -> Result<Buffer> {
     rpc::Decoder dec(header);
     order.push_back(dec.U32().value_or(0));
     return Buffer{};
@@ -310,7 +310,7 @@ TEST_P(DataRpcTest, ServerDrainsPipelinedRequestsInOrder) {
 }
 
 TEST_P(DataRpcTest, ZeroLengthBulkWindowsAreNoops) {
-  server_.Register(12, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(12, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     if (bulk.in_size() != 0 || bulk.out_capacity() != 0) {
       return Status(Internal("unexpected bulk state"));
     }
@@ -325,7 +325,7 @@ TEST_P(DataRpcTest, ZeroLengthBulkWindowsAreNoops) {
 // zero-initialized descriptor when the client exposed no window — rkey 0
 // -> PermissionDenied on RDMA while TCP succeeded.)
 TEST_P(DataRpcTest, EmptyPushIsANoopOnBothTransports) {
-  server_.Register(13, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(13, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     ROS2_RETURN_IF_ERROR(bulk.Push({}));
     return Buffer{};
   });
@@ -339,7 +339,7 @@ TEST_P(DataRpcTest, EmptyPushIsANoopOnBothTransports) {
   EXPECT_EQ(reply->bulk_received, 0u);
 
   // Empty pushes interleaved with real ones keep the offset intact.
-  server_.Register(14, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(14, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     ROS2_RETURN_IF_ERROR(bulk.Push({}));
     Buffer chunk = MakePatternBuffer(32, 5);
     ROS2_RETURN_IF_ERROR(bulk.Push(chunk));
@@ -358,7 +358,7 @@ TEST_P(DataRpcTest, EmptyPushIsANoopOnBothTransports) {
 // partial output: error replies report pushed = 0, ship no inline bulk,
 // and leave the client's recv window untouched on TCP.
 TEST_P(DataRpcTest, FailedHandlerReportsNoBulk) {
-  server_.Register(15, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(15, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     Buffer partial = MakePatternBuffer(64, 2);
     ROS2_RETURN_IF_ERROR(bulk.Push(partial));
     return Status(Internal("handler failed after pushing"));
@@ -384,7 +384,7 @@ TEST_P(DataRpcTest, FailedHandlerReportsNoBulk) {
 }
 
 TEST_P(DataRpcTest, ServedCounterTicks) {
-  server_.Register(10, [](const Buffer&, BulkIo&) -> Result<Buffer> {
+  server_.Register(10, [](ByteView, BulkIo&) -> Result<Buffer> {
     return Buffer{};
   });
   for (int i = 0; i < 5; ++i) {

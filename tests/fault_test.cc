@@ -153,8 +153,8 @@ class FaultRpcTest : public ::testing::Test {
     client_ = std::make_unique<rpc::RpcClient>(
         qp_, *client_ep, [this] { (void)server_.Progress(qp_->peer()); });
     server_.Register(
-        1, [](const Buffer& header, rpc::BulkIo&) -> Result<Buffer> {
-          return header;
+        1, [](ByteView header, rpc::BulkIo&) -> Result<Buffer> {
+          return Buffer(header.begin(), header.end());
         });
   }
 

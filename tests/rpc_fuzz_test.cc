@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/bytes.h"
@@ -59,7 +60,7 @@ class RpcFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
     // any real rendezvous handler, it refuses absurd client-claimed bulk
     // sizes BEFORE allocating (a length-inflated descriptor is a resource
     // attack; the fabric's bounds check would reject the Pull anyway).
-    server_.Register(1, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+    server_.Register(1, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
       if (bulk.in_size() > (1u << 20)) {
         return Status(InvalidArgument("bulk too large"));
       }
@@ -72,7 +73,7 @@ class RpcFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
       return Buffer{};
     });
     // Opcode 2: push a little, then fail.
-    server_.Register(2, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+    server_.Register(2, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
       Buffer partial(std::min<std::uint64_t>(16, bulk.out_capacity()));
       ROS2_RETURN_IF_ERROR(bulk.Push(partial));
       return Status(Internal("fuzz handler failure"));
@@ -126,11 +127,14 @@ class RpcFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
     return req.Take();
   }
 
-  /// Builds the exact frame RpcContext::Complete would reply with. `seq`
-  /// is the tag the client under test expects next, so unmutated frames
-  /// match a pending call and mutated ones exercise the unmatched-drop
-  /// path.
-  Buffer BuildReply(Rng& rng, bool tcp, std::uint64_t seq) {
+  /// Builds the exact reply RpcContext::Complete would send: the frame
+  /// and, on TCP, the inline payload the message carries beside it
+  /// (returned in `*inline_out`, whose size the frame's pushed count
+  /// states). `seq` is the tag the client under test expects next, so
+  /// unmutated frames match a pending call and mutated ones exercise the
+  /// unmatched-drop path.
+  Buffer BuildReply(Rng& rng, bool tcp, std::uint64_t seq,
+                    Buffer* inline_out) {
     Encoder reply;
     reply.U64(seq);
     reply.U64(rng.Next());  // trace id
@@ -138,11 +142,9 @@ class RpcFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
     reply.Str(rng.Below(2) != 0 ? "fuzz error" : "");
     Buffer header = MakePatternBuffer(rng.Below(48), rng.Next());
     reply.Bytes(header);
-    if (tcp) {
-      Buffer inline_out = MakePatternBuffer(rng.Below(256), rng.Next());
-      reply.Bytes(inline_out);
-    }
-    reply.U64(rng.Below(1 << 20));
+    *inline_out =
+        tcp ? MakePatternBuffer(rng.Below(256), rng.Next()) : Buffer{};
+    reply.U64(tcp ? inline_out->size() : rng.Below(1 << 20));
     return reply.Take();
   }
 
@@ -225,7 +227,7 @@ TEST_P(RpcFuzzTest, DeferredServerSurvivesMutatedRequests) {
     return HandlerVerdict::kDeferred;
   });
   // Opcode 2 stays synchronous so decode interleaves both handler kinds.
-  deferring.Register(2, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  deferring.Register(2, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     Buffer partial(std::min<std::uint64_t>(16, bulk.out_capacity()));
     ROS2_RETURN_IF_ERROR(bulk.Push(partial));
     return Status(Internal("fuzz handler failure"));
@@ -293,9 +295,17 @@ TEST_P(RpcFuzzTest, ClientSurvivesMutatedReplies) {
     RpcClient client(qp, client_ep_, nullptr);
     for (int iter = 0; iter < 300; ++iter) {
       // The client's next CallAsync takes sequence tag iter + 1.
-      Buffer reply = BuildReply(rng, tcp, std::uint64_t(iter) + 1);
-      Mutate(rng, &reply);
-      ASSERT_TRUE(qp->peer()->Send(reply).ok());
+      Buffer inline_out;
+      Buffer reply =
+          BuildReply(rng, tcp, std::uint64_t(iter) + 1, &inline_out);
+      // Either part may arrive damaged: a TCP reply's inline segment can
+      // be corrupted or cut short of the count its frame states.
+      Mutate(rng, tcp && rng.Below(2) != 0 ? &inline_out : &reply);
+      RawBuffer tail(inline_out.size());
+      if (!inline_out.empty()) {
+        std::memcpy(tail.data(), inline_out.data(), inline_out.size());
+      }
+      ASSERT_TRUE(qp->peer()->Send(std::move(reply), std::move(tail)).ok());
       CallOptions options;
       options.recv_bulk = window_;
       // Any Status (or a garbled-but-bounded success) is acceptable.
@@ -310,6 +320,107 @@ TEST_P(RpcFuzzTest, ClientSurvivesMutatedReplies) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RpcFuzzTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13));
+
+// ------------------------------------------- pinned malformed TCP frames
+// The server keeps a TCP request's frame and hands its handler views into
+// it, so every length the frame claims must lie inside the frame; the
+// client copies a reply's inline segment into the caller's window, so that
+// segment must fit the window. These run under ASan with the fuzz seeds.
+
+class MalformedTcpFrameTest : public ::testing::Test {
+ protected:
+  /// Offset of the inline payload's u32 length prefix in Request():
+  /// opcode, sequence tag, trace id, empty header, has-payload flag.
+  static constexpr std::size_t kInlineLengthAt = 4 + 8 + 8 + 4 + 1;
+
+  void SetUp() override {
+    auto server_ep = fabric_.CreateEndpoint("fabric://frame-server");
+    auto client_ep = fabric_.CreateEndpoint("fabric://frame-client");
+    ASSERT_TRUE(server_ep.ok() && client_ep.ok());
+    client_ep_ = *client_ep;
+    auto qp = client_ep_->Connect(*server_ep, net::Transport::kTcp,
+                                  client_ep_->AllocPd(),
+                                  (*server_ep)->AllocPd());
+    ASSERT_TRUE(qp.ok());
+    qp_ = *qp;
+    server_.Register(1, [this](ByteView, BulkIo& bulk) -> Result<Buffer> {
+      ++handled_;
+      Buffer data(bulk.in_size());
+      ROS2_RETURN_IF_ERROR(bulk.Pull(data));
+      return data;
+    });
+  }
+
+  /// A well-formed request for opcode 1 carrying `payload` inline and no
+  /// receive window, as RpcClient::CallAsync encodes it.
+  static Buffer Request(std::span<const std::byte> payload) {
+    Encoder req;
+    req.U32(1).U64(1).U64(1).Bytes({}).U8(1).Bytes(payload).U8(0);
+    return req.Take();
+  }
+
+  /// Sends `frame` and pumps the server once.
+  Status Serve(Buffer frame) {
+    EXPECT_TRUE(qp_->Send(std::move(frame)).ok());
+    return server_.Progress(qp_->peer());
+  }
+
+  /// Drops a malformed request without a reply or a handler call, then
+  /// still serves a well-formed one on the same QP.
+  void ExpectRejectedThenServed(Buffer malformed) {
+    EXPECT_EQ(Serve(std::move(malformed)).code(), ErrorCode::kDataLoss);
+    EXPECT_EQ(handled_, 0);
+    EXPECT_FALSE(qp_->HasMessage());
+    EXPECT_TRUE(Serve(Request(payload_)).ok());
+    EXPECT_EQ(handled_, 1);
+    EXPECT_TRUE(qp_->HasMessage());
+  }
+
+  net::Fabric fabric_;
+  net::Endpoint* client_ep_ = nullptr;
+  net::Qp* qp_ = nullptr;
+  RpcServer server_;
+  int handled_ = 0;
+  const Buffer payload_ = MakePatternBuffer(64, 1);
+};
+
+TEST_F(MalformedTcpFrameTest, InlineLengthPastTheFrameIsDataLoss) {
+  for (std::uint32_t claimed : {std::uint32_t(payload_.size() + 2),
+                                std::uint32_t(0xFFFFFFFF)}) {
+    Buffer frame = Request(payload_);
+    for (std::size_t i = 0; i < 4; ++i) {
+      frame[kInlineLengthAt + i] = std::byte(claimed >> (8 * i));
+    }
+    handled_ = 0;
+    while (qp_->HasMessage()) (void)qp_->Recv();
+    ExpectRejectedThenServed(std::move(frame));
+  }
+}
+
+TEST_F(MalformedTcpFrameTest, TrailingBytesAfterTheInlinePayloadAreDataLoss) {
+  Buffer frame = Request(payload_);
+  frame.push_back(std::byte(0));
+  ExpectRejectedThenServed(std::move(frame));
+}
+
+TEST_F(MalformedTcpFrameTest, ReplyInlineLargerThanTheWindowIsRejected) {
+  RpcClient client(qp_, client_ep_, nullptr);
+  Buffer window = MakePatternBuffer(256, 2);
+  const Buffer before = window;
+  // What a server that ignored the window would send for the client's
+  // first call (sequence tag 1): a successful reply whose inline segment
+  // is one byte larger than the window, its count agreeing.
+  Encoder reply;
+  reply.U64(1).U64(1).U16(0).Str("").Bytes({}).U64(window.size() + 1);
+  RawBuffer inline_out(window.size() + 1);
+  FillPattern(inline_out.span(), 3, 0);
+  ASSERT_TRUE(qp_->peer()->Send(reply.Take(), std::move(inline_out)).ok());
+  CallOptions options;
+  options.recv_bulk = window;
+  EXPECT_EQ(client.Call(1, kNoHeader, options).status().code(),
+            ErrorCode::kOutOfRange);
+  EXPECT_EQ(window, before);
+}
 
 }  // namespace
 }  // namespace ros2::rpc

@@ -49,8 +49,8 @@ class RpcPipelineTest : public ::testing::TestWithParam<net::Transport> {
 };
 
 TEST_P(RpcPipelineTest, AsyncCallsCompleteViaFlush) {
-  server_.Register(1, [](const Buffer& header, BulkIo&) -> Result<Buffer> {
-    Buffer reply = header;
+  server_.Register(1, [](ByteView header, BulkIo&) -> Result<Buffer> {
+    Buffer reply(header.begin(), header.end());
     reply.push_back(std::byte(0xAB));
     return reply;
   });
@@ -217,7 +217,7 @@ TEST_P(RpcPipelineTest, CompleteIsExactlyOnce) {
 TEST_P(RpcPipelineTest, SynchronousCallStillWorksThroughThePipeline) {
   // The preserved public contract: Call == CallAsync + Await, including
   // bulk in both directions.
-  server_.Register(6, [](const Buffer&, BulkIo& bulk) -> Result<Buffer> {
+  server_.Register(6, [](ByteView, BulkIo& bulk) -> Result<Buffer> {
     Buffer data(bulk.in_size());
     ROS2_RETURN_IF_ERROR(bulk.Pull(data));
     for (auto& b : data) b ^= std::byte(0xFF);
@@ -240,7 +240,7 @@ TEST_P(RpcPipelineTest, SynchronousCallStillWorksThroughThePipeline) {
 TEST_P(RpcPipelineTest, UnmatchedRepliesAreDroppedNotMisdelivered) {
   // A stray frame with an unknown tag (a reply for an abandoned call)
   // must not complete anyone else's call or scribble on a window.
-  server_.Register(8, [](const Buffer&, BulkIo&) -> Result<Buffer> {
+  server_.Register(8, [](ByteView, BulkIo&) -> Result<Buffer> {
     return Buffer{};
   });
   Encoder stray;
@@ -259,8 +259,8 @@ TEST_P(RpcPipelineTest, UnmatchedRepliesAreDroppedNotMisdelivered) {
 TEST_P(RpcPipelineTest, PollSetProgressServicesAllClients) {
   net::PollSet set;
   server_ep_->set_accept_poll_set(&set);
-  server_.Register(9, [](const Buffer& header, BulkIo&) -> Result<Buffer> {
-    return header;
+  server_.Register(9, [](ByteView header, BulkIo&) -> Result<Buffer> {
+    return Buffer(header.begin(), header.end());
   });
   constexpr int kClients = 5;
   std::vector<std::unique_ptr<RpcClient>> clients;
